@@ -12,10 +12,10 @@ import sys
 import time
 from pathlib import Path
 
+from nbtext.archive import train
 from nbtext.evaluation import evaluate, format_report, load_corpus, split
-from nbtext.models import fit_bernoulli, fit_multinomial
-from nbtext.pipeline import PipelineConfig, build_stop_list, run_pipeline, tokenize
-from nbtext.vectorize import BINARY, build_vocabulary, vectorize
+from nbtext.pipeline import PipelineConfig
+from nbtext.vectorize import BINARY
 
 DEFAULT_CORPUS = Path(__file__).resolve().parents[1] / "data" / "SMSSpamCollection"
 
@@ -43,7 +43,7 @@ def main() -> int:
 
     started = time.perf_counter()
     corpus = load_corpus(args.corpus)
-    train, test = split(corpus, args.test_fraction, args.seed)
+    train_part, test_part = split(corpus, args.test_fraction, args.seed)
 
     config = PipelineConfig(
         stemming=args.stem,
@@ -51,32 +51,26 @@ def main() -> int:
         frequency_top_n=args.stop_top or None,
         ngram_size=args.ngram,
     )
-    stops = None
-    if args.stop_top:
-        raw = [tokenize(text, config) for _, text in train.documents]
-        stops = build_stop_list(raw, args.stop_top)
-
-    streams = [run_pipeline(text, config, stops) for _, text in train.documents]
-    labels = [label for label, _ in train.documents]
-    vocab = build_vocabulary(streams)
-
-    if args.variant == "bernoulli":
-        weighting = BINARY
-        vectors = [vectorize(s, vocab, weighting) for s in streams]
-        model = fit_bernoulli(vectors, labels, vocab)
-    else:
-        weighting = args.weighting
-        vectors = [vectorize(s, vocab, weighting) for s in streams]
-        model = fit_multinomial(vectors, labels, vocab, alpha=args.alpha)
-
-    report = evaluate(model, config, vocab, test, weighting, stops)
+    weighting = BINARY if args.variant == "bernoulli" else args.weighting
+    archive = train(
+        args.variant,
+        [label for label, _ in train_part.documents],
+        [text for _, text in train_part.documents],
+        args.alpha,
+        config,
+        weighting,
+    )
+    report = evaluate(
+        archive.model, config, archive.vocab, test_part, weighting, archive.stops
+    )
     elapsed = time.perf_counter() - started
 
     print(f"corpus: {args.corpus} ({len(corpus)} messages)")
     print(f"variant: {args.variant}  weighting: {weighting}  "
           f"alpha: {args.alpha}  stem: {args.stem}  "
           f"stop_top: {args.stop_top}  ngram: {args.ngram}")
-    print(f"train/test: {len(train)}/{len(test)}  vocabulary: {len(vocab)}")
+    print(f"train/test: {len(train_part)}/{len(test_part)}  "
+          f"vocabulary: {len(archive.vocab)}")
     print(f"wall time: {elapsed:.2f}s")
     print()
     print(format_report(report))

@@ -7,7 +7,7 @@ deterministic evaluation harness, and JSON model archives. The `nbtext`
 console script exposes train / predict / evaluate / inspect commands.
 """
 
-from .archive import ArchiveError, ModelArchive, load_archive, save_archive
+from .archive import ArchiveError, ModelArchive, load_archive, save_archive, train
 from .evaluation import (
     CorpusFormatError,
     EvaluationReport,
@@ -88,5 +88,6 @@ __all__ = [
     "save_archive",
     "split",
     "tokenize",
+    "train",
     "vectorize",
 ]

@@ -6,9 +6,9 @@ a round-tripped model classifies identically and reproduces log-scores.
 """
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .models import (
     BernoulliModel,
@@ -17,15 +17,32 @@ from .models import (
     GaussianModel,
     MultinomialModel,
     NaiveBayesModel,
+    fit_bernoulli,
+    fit_categorical,
+    fit_gaussian,
+    fit_multinomial,
 )
-from .pipeline import PipelineConfig, StopList, run_pipeline
-from .vectorize import SparseVector, Vocabulary, vectorize
+from .pipeline import PipelineConfig, StopList, build_stop_list, run_pipeline, tokenize
+from .vectorize import SparseVector, Vocabulary, build_vocabulary, vectorize
 
-__all__ = ["FORMAT_VERSION", "ArchiveError", "ModelArchive", "save_archive", "load_archive"]
+__all__ = [
+    "FORMAT_VERSION",
+    "ArchiveError",
+    "ModelArchive",
+    "train",
+    "save_archive",
+    "load_archive",
+]
 
 FORMAT_VERSION = 1
 
-VARIANTS = ("categorical", "bernoulli", "multinomial", "gaussian")
+# variant name -> model class, in the order the CLI lists them
+VARIANTS = {
+    "categorical": CategoricalModel,
+    "bernoulli": BernoulliModel,
+    "multinomial": MultinomialModel,
+    "gaussian": GaussianModel,
+}
 TEXT_VARIANTS = ("bernoulli", "multinomial")
 
 
@@ -49,6 +66,10 @@ class ModelArchive:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant!r}")
+        if not isinstance(self.model, VARIANTS[self.variant]):
+            raise ValueError(
+                f"{self.variant} archives hold a {VARIANTS[self.variant].__name__}"
+            )
         if self.variant in TEXT_VARIANTS:
             if self.pipeline_config is None or self.vocab is None or not self.weighting:
                 raise ValueError(
@@ -85,72 +106,66 @@ def _priors_from_payload(payload: dict) -> ClassPriors:
     return ClassPriors(probs, counts, total)
 
 
-def _model_payload(variant: str, model: NaiveBayesModel) -> dict:
-    if variant == "categorical":
-        assert isinstance(model, CategoricalModel)
-        return {
-            "value_counts": [table for table in model.value_counts],
-            "class_counts": model.class_counts,
-            "alpha": model.alpha,
-        }
-    if variant == "bernoulli":
-        assert isinstance(model, BernoulliModel)
-        return {
-            "doc_counts": model.doc_counts,
-            "class_doc_counts": model.class_doc_counts,
-            "vocab_size": model.vocab_size,
-        }
-    if variant == "multinomial":
-        assert isinstance(model, MultinomialModel)
-        return {
-            "tf_sums": {
-                lab: {str(i): v for i, v in sums.items()}
-                for lab, sums in model.tf_sums.items()
-            },
-            "class_totals": model.class_totals,
-            "vocab_size": model.vocab_size,
-            "alpha": model.alpha,
-        }
-    assert isinstance(model, GaussianModel)
-    return {
-        "means": model.means,
-        "stds": model.stds,
-        "n_features": model.n_features,
-    }
+# parameter fields whose JSON form differs from the dataclass value
+_FIELD_DECODERS = {
+    "tf_sums": lambda tf_sums: {
+        lab: {int(i): v for i, v in sums.items()} for lab, sums in tf_sums.items()
+    },
+    "value_counts": tuple,
+}
+
+
+def _model_payload(model: NaiveBayesModel) -> dict:
+    # every dataclass field after priors; json.dump writes the int keys of
+    # tf_sums as strings and the value_counts tuple as a list
+    return {f.name: getattr(model, f.name) for f in fields(model)[1:]}
 
 
 def _model_from_payload(
     variant: str, payload: dict, priors: ClassPriors
 ) -> NaiveBayesModel:
+    model_class = VARIANTS[variant]
+    params = {}
+    for f in fields(model_class)[1:]:
+        decode = _FIELD_DECODERS.get(f.name)
+        params[f.name] = decode(payload[f.name]) if decode else payload[f.name]
+    return model_class(priors, **params)
+
+
+def train(
+    variant: str,
+    labels: Sequence[str],
+    inputs: Sequence,
+    alpha: float = 1.0,
+    pipeline_config: PipelineConfig = PipelineConfig(),
+    weighting: Optional[str] = None,
+    stops: Optional[StopList] = None,
+) -> ModelArchive:
+    """Fit a ``variant`` model and return it as an archive.
+
+    ``inputs`` are raw texts for the text variants, which also need a
+    ``weighting``; otherwise they are parsed feature rows, and the pipeline
+    settings are ignored. When the config asks for a frequency stop list and
+    ``stops`` is None, it is built from the training texts. ``alpha`` is
+    ignored by the Bernoulli and Gaussian variants.
+    """
     if variant == "categorical":
-        return CategoricalModel(
-            priors,
-            tuple(payload["value_counts"]),
-            payload["class_counts"],
-            payload["alpha"],
-        )
+        return ModelArchive(variant, fit_categorical(inputs, labels, alpha))
+    if variant == "gaussian":
+        return ModelArchive(variant, fit_gaussian(inputs, labels))
+    if variant not in TEXT_VARIANTS:
+        raise ValueError(f"unknown variant: {variant!r}")
+    if stops is None and pipeline_config.stop_word_mode == "frequency":
+        tokenized = (tokenize(text, pipeline_config) for text in inputs)
+        stops = build_stop_list(tokenized, pipeline_config.frequency_top_n)
+    streams = [run_pipeline(text, pipeline_config, stops) for text in inputs]
+    vocab = build_vocabulary(streams)
+    vectors = [vectorize(s, vocab, weighting) for s in streams]
     if variant == "bernoulli":
-        return BernoulliModel(
-            priors,
-            payload["doc_counts"],
-            payload["class_doc_counts"],
-            payload["vocab_size"],
-        )
-    if variant == "multinomial":
-        tf_sums = {
-            lab: {int(i): v for i, v in sums.items()}
-            for lab, sums in payload["tf_sums"].items()
-        }
-        return MultinomialModel(
-            priors,
-            tf_sums,
-            payload["class_totals"],
-            payload["vocab_size"],
-            payload["alpha"],
-        )
-    return GaussianModel(
-        priors, payload["means"], payload["stds"], payload["n_features"]
-    )
+        model = fit_bernoulli(vectors, labels, vocab)
+    else:
+        model = fit_multinomial(vectors, labels, vocab, alpha)
+    return ModelArchive(variant, model, pipeline_config, vocab, weighting, stops)
 
 
 def save_archive(archive: ModelArchive, path: Union[str, Path]) -> None:
@@ -158,7 +173,7 @@ def save_archive(archive: ModelArchive, path: Union[str, Path]) -> None:
         "format_version": FORMAT_VERSION,
         "variant": archive.variant,
         "priors": _priors_payload(archive.model.priors),
-        "parameters": _model_payload(archive.variant, archive.model),
+        "parameters": _model_payload(archive.model),
         "pipeline": asdict(archive.pipeline_config)
         if archive.pipeline_config is not None
         else None,
@@ -218,4 +233,6 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
             )
     except KeyError as exc:
         raise ArchiveError(f"archive is missing field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ArchiveError(f"malformed archive: {exc}") from exc
     return ModelArchive(variant, model, pipeline_config, vocab, doc.get("weighting"), stops)

@@ -15,44 +15,19 @@ from .archive import (
     ModelArchive,
     load_archive,
     save_archive,
+    train,
 )
 from .evaluation import (
-    LabeledCorpus,
-    evaluate,
     format_report,
     load_categorical_corpus,
     load_corpus,
     load_numeric_corpus,
-    split,
     split_indices,
     tally,
 )
-from .models import (
-    BernoulliModel,
-    MultinomialModel,
-    classify,
-    fit_bernoulli,
-    fit_categorical,
-    fit_gaussian,
-    fit_multinomial,
-    posterior_scores,
-)
-from .pipeline import (
-    PipelineConfig,
-    StopList,
-    build_stop_list,
-    load_stop_list,
-    run_pipeline,
-    tokenize,
-)
-from .vectorize import (
-    BINARY,
-    RAW_COUNT,
-    WEIGHTING_MODES,
-    build_vocabulary,
-    dump_vocabulary,
-    vectorize,
-)
+from .models import BernoulliModel, MultinomialModel, classify, posterior_scores
+from .pipeline import PipelineConfig, load_stop_list
+from .vectorize import BINARY, RAW_COUNT, WEIGHTING_MODES, dump_vocabulary
 
 
 class _UsageError(Exception):
@@ -202,24 +177,30 @@ class _TrainSettings:
         )
 
 
-def _train_text_model(settings: _TrainSettings, corpus: LabeledCorpus) -> ModelArchive:
-    labels = [label for label, _ in corpus.documents]
-    texts = [text for _, text in corpus.documents]
-    stops: Optional[StopList] = None
+def _load_training_data(settings: _TrainSettings, path: str) -> Tuple[list, list]:
+    """Labels and inputs: raw texts for the text variants, parsed rows otherwise."""
+    if settings.variant in TEXT_VARIANTS:
+        documents = load_corpus(path).documents
+        return [label for label, _ in documents], [text for _, text in documents]
+    if settings.variant == "categorical":
+        samples, labels = load_categorical_corpus(path)
+    else:
+        samples, labels = load_numeric_corpus(path)
+    return labels, samples
+
+
+def _train(settings: _TrainSettings, labels: list, inputs: list) -> ModelArchive:
+    stops = None
     if settings.stop_mode == "dictionary":
         stops = load_stop_list(settings.stop_path)
-    elif settings.stop_mode == "frequency":
-        tokenized = (tokenize(text, settings.pipeline) for text in texts)
-        stops = build_stop_list(tokenized, settings.stop_top_n)
-    streams = [run_pipeline(text, settings.pipeline, stops) for text in texts]
-    vocab = build_vocabulary(streams)
-    vectors = [vectorize(s, vocab, settings.weighting) for s in streams]
-    if settings.variant == "bernoulli":
-        model = fit_bernoulli(vectors, labels, vocab)
-    else:
-        model = fit_multinomial(vectors, labels, vocab, settings.alpha)
-    return ModelArchive(
-        settings.variant, model, settings.pipeline, vocab, settings.weighting, stops
+    return train(
+        settings.variant,
+        labels,
+        inputs,
+        settings.alpha,
+        settings.pipeline,
+        settings.weighting,
+        stops,
     )
 
 
@@ -233,16 +214,7 @@ def _print_training_summary(archive: ModelArchive) -> None:
 
 def cmd_train(args) -> int:
     settings = _TrainSettings(args)
-    if settings.variant in TEXT_VARIANTS:
-        corpus = load_corpus(args.input)
-        archive = _train_text_model(settings, corpus)
-    elif settings.variant == "categorical":
-        samples, labels = load_categorical_corpus(args.input)
-        model = fit_categorical(samples, labels, settings.alpha)
-        archive = ModelArchive("categorical", model)
-    else:
-        rows, labels = load_numeric_corpus(args.input)
-        archive = ModelArchive("gaussian", fit_gaussian(rows, labels))
+    archive = _train(settings, *_load_training_data(settings, args.input))
     save_archive(archive, args.model)
     _print_training_summary(archive)
     print(f"model written to {args.model}")
@@ -293,39 +265,18 @@ def cmd_evaluate(args) -> int:
     settings = _TrainSettings(args)
     if not 0.0 < args.test_fraction < 1.0:
         raise _UsageError("--test-fraction must be strictly between 0 and 1")
-    if settings.variant in TEXT_VARIANTS:
-        corpus = load_corpus(args.input)
-        train_part, test_part = split(corpus, args.test_fraction, args.seed)
-        archive = _train_text_model(settings, train_part)
-        report = evaluate(
-            archive.model,
-            settings.pipeline,
-            archive.vocab,
-            test_part,
-            settings.weighting,
-            archive.stops,
-        )
-        n_train = len(train_part)
-    else:
-        if settings.variant == "categorical":
-            samples, labels = load_categorical_corpus(args.input)
-        else:
-            samples, labels = load_numeric_corpus(args.input)
-        train_idx, test_idx = split_indices(len(samples), args.test_fraction, args.seed)
-        if settings.variant == "categorical":
-            model = fit_categorical(
-                [samples[i] for i in train_idx],
-                [labels[i] for i in train_idx],
-                settings.alpha,
-            )
-        else:
-            model = fit_gaussian(
-                [samples[i] for i in train_idx], [labels[i] for i in train_idx]
-            )
-        pairs = [(labels[i], classify(model, samples[i])) for i in test_idx]
-        report = tally(pairs, model.priors.labels)
-        n_train = len(train_idx)
-    print(f"trained on {n_train} documents, evaluated on {report.n_test}")
+    labels, inputs = _load_training_data(settings, args.input)
+    train_idx, test_idx = split_indices(len(inputs), args.test_fraction, args.seed)
+    archive = _train(
+        settings, [labels[i] for i in train_idx], [inputs[i] for i in train_idx]
+    )
+    text = settings.variant in TEXT_VARIANTS
+    pairs = []
+    for i in test_idx:
+        x = archive.encode_text(inputs[i]) if text else inputs[i]
+        pairs.append((labels[i], classify(archive.model, x)))
+    report = tally(pairs, archive.model.priors.labels)
+    print(f"trained on {len(train_idx)} documents, evaluated on {report.n_test}")
     print(format_report(report))
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as fh:

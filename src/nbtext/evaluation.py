@@ -72,14 +72,26 @@ def load_corpus(path: Union[str, Path]) -> LabeledCorpus:
     return LabeledCorpus(tuple(docs))
 
 
-def _load_csv_rows(path) -> List[Tuple[int, List[str]]]:
+def _load_labeled_rows(path) -> List[Tuple[int, str, List[str]]]:
+    """Parse "label,v1,v2,..." lines into (line number, label, values)."""
     rows = []
+    arity = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rows.append((lineno, [cell.strip() for cell in line.split(",")]))
+            cells = [cell.strip() for cell in line.split(",")]
+            if len(cells) < 2:
+                raise CorpusFormatError(path, lineno, "expected 'label,v1,...'")
+            label, values = cells[0], cells[1:]
+            if arity is None:
+                arity = len(values)
+            elif len(values) != arity:
+                raise CorpusFormatError(
+                    path, lineno, f"expected {arity} feature values, got {len(values)}"
+                )
+            rows.append((lineno, label, values))
     if not rows:
         raise CorpusFormatError(path, 0, "empty corpus")
     return rows
@@ -89,34 +101,21 @@ def load_categorical_corpus(
     path: Union[str, Path],
 ) -> Tuple[List[List[str]], List[str]]:
     """Parse "label,v1,v2,..." lines into feature tuples and labels."""
-    samples, labels = [], []
-    arity = None
-    for lineno, cells in _load_csv_rows(path):
-        if len(cells) < 2:
-            raise CorpusFormatError(path, lineno, "expected 'label,v1,...'")
-        label, values = cells[0], cells[1:]
-        if arity is None:
-            arity = len(values)
-        elif len(values) != arity:
-            raise CorpusFormatError(
-                path, lineno, f"expected {arity} feature values, got {len(values)}"
-            )
-        samples.append(values)
-        labels.append(label)
-    return samples, labels
+    rows = _load_labeled_rows(path)
+    return [values for _, _, values in rows], [label for _, label, _ in rows]
 
 
 def load_numeric_corpus(
     path: Union[str, Path],
 ) -> Tuple[List[List[float]], List[str]]:
     """Parse "label,x1,x2,..." lines into real-valued rows and labels."""
-    raw, labels = load_categorical_corpus(path)
-    rows = []
-    for i, values in enumerate(raw):
+    rows, labels = [], []
+    for lineno, label, values in _load_labeled_rows(path):
         try:
             rows.append([float(v) for v in values])
         except ValueError as exc:
-            raise CorpusFormatError(path, 0, f"non-numeric feature: {exc}") from exc
+            raise CorpusFormatError(path, lineno, f"non-numeric feature: {exc}") from exc
+        labels.append(label)
     return rows, labels
 
 

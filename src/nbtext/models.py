@@ -310,6 +310,8 @@ class PosteriorReport:
 def _categorical_log_likelihood(
     model: CategoricalModel, values: Sequence[str], label: str
 ) -> float:
+    if isinstance(values, SparseVector):
+        raise TypeError("categorical model expects a sequence of feature values")
     if len(values) != model.n_positions:
         raise ValueError(
             f"expected {model.n_positions} feature values, got {len(values)}"
@@ -326,6 +328,8 @@ def _categorical_log_likelihood(
 def _bernoulli_log_likelihood(
     model: BernoulliModel, vec: SparseVector, label: str
 ) -> float:
+    if not isinstance(vec, SparseVector):
+        raise TypeError("bernoulli model expects a SparseVector")
     log_p, log_q = model._log_tables[label]
     total = 0.0
     present = vec.entries
@@ -337,6 +341,8 @@ def _bernoulli_log_likelihood(
 def _multinomial_log_likelihood(
     model: MultinomialModel, vec: SparseVector, label: str
 ) -> float:
+    if not isinstance(vec, SparseVector):
+        raise TypeError("multinomial model expects a SparseVector")
     total = 0.0
     # fixed summation order keeps scores exactly invariant to token order
     for token_id in sorted(vec.entries):
@@ -350,6 +356,8 @@ def _multinomial_log_likelihood(
 def _gaussian_log_likelihood(
     model: GaussianModel, row: Sequence[float], label: str
 ) -> float:
+    if isinstance(row, SparseVector):
+        raise TypeError("gaussian model expects a sequence of real features")
     if len(row) != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got {len(row)}")
     mu = model.means[label]
@@ -357,25 +365,20 @@ def _gaussian_log_likelihood(
     return sum(gaussian_log_density(x, mu[k], sd[k]) for k, x in enumerate(row))
 
 
+_LIKELIHOODS = {
+    CategoricalModel: _categorical_log_likelihood,
+    BernoulliModel: _bernoulli_log_likelihood,
+    MultinomialModel: _multinomial_log_likelihood,
+    GaussianModel: _gaussian_log_likelihood,
+}
+
+
 def log_likelihood(model: NaiveBayesModel, x, label: str) -> float:
     """Log P(x | label) under the model's variant; -inf on zero conditionals."""
-    if isinstance(model, CategoricalModel):
-        if isinstance(x, SparseVector):
-            raise TypeError("categorical model expects a sequence of feature values")
-        return _categorical_log_likelihood(model, x, label)
-    if isinstance(model, BernoulliModel):
-        if not isinstance(x, SparseVector):
-            raise TypeError("bernoulli model expects a SparseVector")
-        return _bernoulli_log_likelihood(model, x, label)
-    if isinstance(model, MultinomialModel):
-        if not isinstance(x, SparseVector):
-            raise TypeError("multinomial model expects a SparseVector")
-        return _multinomial_log_likelihood(model, x, label)
-    if isinstance(model, GaussianModel):
-        if isinstance(x, SparseVector):
-            raise TypeError("gaussian model expects a sequence of real features")
-        return _gaussian_log_likelihood(model, x, label)
-    raise TypeError(f"unknown model type: {type(model).__name__}")
+    likelihood = _LIKELIHOODS.get(type(model))
+    if likelihood is None:
+        raise TypeError(f"unknown model type: {type(model).__name__}")
+    return likelihood(model, x, label)
 
 
 def posterior_scores(model: NaiveBayesModel, x) -> PosteriorReport:

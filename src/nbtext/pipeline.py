@@ -16,7 +16,6 @@ from .porter import porter_stem
 __all__ = [
     "PipelineConfig",
     "StopList",
-    "TokenStream",
     "tokenize",
     "build_stop_list",
     "load_stop_list",
@@ -24,9 +23,6 @@ __all__ = [
     "ngrams",
     "run_pipeline",
 ]
-
-# Ordered list of non-empty tokens.
-TokenStream = list
 
 STOP_WORD_MODES = ("none", "dictionary", "frequency")
 
@@ -72,7 +68,7 @@ def _strip_boundary_punctuation(token: str) -> str:
     return token[start:end]
 
 
-def tokenize(text: str, config: PipelineConfig) -> TokenStream:
+def tokenize(text: str, config: PipelineConfig) -> list:
     """Split ``text`` on whitespace, optionally trimming boundary punctuation
     and lowercasing. Tokens emptied by punctuation stripping are dropped."""
     tokens = []
@@ -88,7 +84,7 @@ def tokenize(text: str, config: PipelineConfig) -> TokenStream:
     return tokens
 
 
-def build_stop_list(corpus: Iterable[TokenStream], n: int) -> StopList:
+def build_stop_list(corpus: Iterable[list], n: int) -> StopList:
     """Return the ``n`` most frequent tokens across ``corpus`` as a stop list.
 
     Frequency counts occurrences, not documents. Ties at the cutoff are
@@ -120,11 +116,11 @@ def load_stop_list(path: Union[str, Path]) -> StopList:
     return StopList(frozenset(words), origin="dictionary")
 
 
-def remove_stop_words(stream: TokenStream, stops: StopList) -> TokenStream:
+def remove_stop_words(stream: list, stops: StopList) -> list:
     return [tok for tok in stream if tok not in stops.words]
 
 
-def ngrams(stream: TokenStream, n: int) -> TokenStream:
+def ngrams(stream: list, n: int) -> list:
     """Space-joined n-grams of ``stream``; output length max(0, len - n + 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -135,7 +131,7 @@ def ngrams(stream: TokenStream, n: int) -> TokenStream:
 
 def run_pipeline(
     text: str, config: PipelineConfig, stops: Optional[StopList] = None
-) -> TokenStream:
+) -> list:
     """Apply tokenize, stop-word removal, stemming and n-gram expansion.
 
     ``stops`` is required when the config enables stop-word removal. Stems

@@ -12,6 +12,7 @@ from nbtext.archive import (
     ModelArchive,
     load_archive,
     save_archive,
+    train,
 )
 from nbtext.evaluation import load_corpus
 from nbtext.models import (
@@ -22,7 +23,13 @@ from nbtext.models import (
     fit_multinomial,
     posterior_scores,
 )
-from nbtext.pipeline import PipelineConfig, StopList, run_pipeline
+from nbtext.pipeline import (
+    PipelineConfig,
+    StopList,
+    build_stop_list,
+    run_pipeline,
+    tokenize,
+)
 from nbtext.vectorize import BINARY, RAW_COUNT, TFIDF, build_vocabulary, vectorize
 
 
@@ -197,3 +204,72 @@ def test_text_variant_requires_vocab(toy_shapes):
     model = fit_categorical(*toy_shapes, alpha=0.0)
     with pytest.raises(ValueError):
         ModelArchive("multinomial", model)
+
+
+STEM_TOP5_BIGRAMS = PipelineConfig(
+    stemming=True, stop_word_mode="frequency", frequency_top_n=5, ngram_size=2
+)
+
+
+@pytest.mark.parametrize("variant,weighting,config", [
+    ("multinomial", TFIDF, STEM_TOP5_BIGRAMS),
+    ("bernoulli", BINARY, PipelineConfig(lowercase=False)),
+])
+def test_train_matches_hand_built_archive(
+    tmp_path, data_dir, variant, weighting, config
+):
+    corpus = load_corpus(data_dir / "sample_messages.tsv")
+    stops = None
+    if config.stop_word_mode == "frequency":
+        tokenized = [tokenize(text, config) for _, text in corpus.documents]
+        stops = build_stop_list(tokenized, config.frequency_top_n)
+    expected, _ = _text_archive(data_dir, variant, weighting, config, stops)
+    labels = [label for label, _ in corpus.documents]
+    texts = [text for _, text in corpus.documents]
+    trained = train(variant, labels, texts, 1.0, config, weighting)
+    save_archive(expected, tmp_path / "expected.json")
+    save_archive(trained, tmp_path / "trained.json")
+    assert (tmp_path / "trained.json").read_bytes() == (
+        tmp_path / "expected.json"
+    ).read_bytes()
+
+
+def _training_data(variant, data_dir, toy_shapes):
+    if variant == "categorical":
+        samples, labels = toy_shapes
+        return labels, samples
+    if variant == "gaussian":
+        rng = random.Random(9)
+        rows = [[rng.gauss(0, 1), rng.gauss(5, 2)] for _ in range(20)]
+        return ["a" if i % 2 else "b" for i in range(20)], rows
+    corpus = load_corpus(data_dir / "sample_messages.tsv")
+    return [lab for lab, _ in corpus.documents], [t for _, t in corpus.documents]
+
+
+@pytest.mark.parametrize("variant,weighting", [
+    ("categorical", None),
+    ("bernoulli", BINARY),
+    ("multinomial", TFIDF),
+    ("gaussian", None),
+])
+def test_save_load_save_is_byte_identical(
+    tmp_path, data_dir, toy_shapes, variant, weighting
+):
+    labels, inputs = _training_data(variant, data_dir, toy_shapes)
+    archive = train(variant, labels, inputs, 0.5, STEM_TOP5_BIGRAMS, weighting)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_archive(archive, first)
+    save_archive(load_archive(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_train_rejects_unknown_variant(toy_shapes):
+    samples, labels = toy_shapes
+    with pytest.raises(ValueError, match="variant"):
+        train("quantum", labels, samples)
+
+
+def test_model_must_match_variant(toy_shapes):
+    model = fit_categorical(*toy_shapes, alpha=0.0)
+    with pytest.raises(ValueError, match="GaussianModel"):
+        ModelArchive("gaussian", model)

@@ -5,7 +5,11 @@ import shutil
 
 import pytest
 
+from nbtext.archive import train
 from nbtext.cli import main
+from nbtext.evaluation import evaluate, load_corpus, split
+from nbtext.pipeline import PipelineConfig
+from nbtext.vectorize import BINARY, RAW_COUNT
 
 TOY_CSV = (
     "+,blue,square\n+,blue,square\n+,blue,circle\n+,green,square\n"
@@ -189,6 +193,23 @@ class TestPredict:
         assert code == 1
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda doc: doc["priors"].update(counts=["7", "5"]), "malformed archive"),
+        (lambda doc: doc.update(priors="ham"), "malformed archive"),
+        (lambda doc: doc["parameters"].update(tf_sums=[1, 2]), "malformed archive"),
+        (lambda doc: doc["parameters"].pop("tf_sums"), "missing field 'tf_sums'"),
+    ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing"])
+    def test_malformed_archive(self, tmp_path, corpus_path, capsys, corrupt, message):
+        model_path = _train(tmp_path, corpus_path)
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        corrupt(doc)
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "free prize"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_categorical_query(self, tmp_path, toy_csv_path, capsys):
         model_path = tmp_path / "toy.json"
         code = main(
@@ -227,6 +248,40 @@ class TestEvaluate:
         doc = json.loads(report_path.read_text(encoding="utf-8"))
         assert set(doc) >= {"accuracy", "per_label", "confusion"}
         assert 0.0 <= doc["accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("variant,flags,config,weighting", [
+        (
+            "multinomial",
+            ["--stem", "on", "--stop-words", "top:5"],
+            PipelineConfig(stemming=True, stop_word_mode="frequency", frequency_top_n=5),
+            RAW_COUNT,
+        ),
+        ("bernoulli", [], PipelineConfig(), BINARY),
+    ])
+    def test_report_matches_library_evaluate(
+        self, tmp_path, corpus_path, capsys, variant, flags, config, weighting
+    ):
+        report_path = tmp_path / "report.json"
+        code = main(
+            ["evaluate", "--input", str(corpus_path), "--variant", variant, *flags,
+             "--test-fraction", "0.25", "--seed", "5", "--report-out", str(report_path)]
+        )
+        assert code == 0
+        train_part, test_part = split(load_corpus(corpus_path), 0.25, 5)
+        archive = train(
+            variant,
+            [label for label, _ in train_part.documents],
+            [text for _, text in train_part.documents],
+            1.0,
+            config,
+            weighting,
+        )
+        expected = evaluate(
+            archive.model, config, archive.vocab, test_part, weighting, archive.stops
+        )
+        doc = json.loads(report_path.read_text(encoding="utf-8"))
+        assert doc == expected.to_json_dict()
+        assert f"trained on {len(train_part)} documents" in capsys.readouterr().out
 
     def test_fraction_validation(self, corpus_path):
         code = main(

@@ -92,6 +92,12 @@ class TestCsvCorpora:
         with pytest.raises(CorpusFormatError):
             load_numeric_corpus(path)
 
+    def test_non_numeric_reports_line_number(self, tmp_path):
+        path = _write(tmp_path, "c.csv", "a,1,2\nb,3,4\np,x,5\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_numeric_corpus(path)
+        assert err.value.line_number == 3
+
 
 def _corpus(n):
     return LabeledCorpus(tuple((f"l{i % 2}", f"text {i}") for i in range(n)))
