@@ -60,9 +60,7 @@ def main() -> int:
         config,
         weighting,
     )
-    report = evaluate(
-        archive.model, config, archive.vocab, test_part, weighting, archive.stops
-    )
+    report = evaluate(archive, test_part.documents)
     elapsed = time.perf_counter() - started
 
     print(f"corpus: {args.corpus} ({len(corpus)} messages)")

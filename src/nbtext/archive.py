@@ -6,6 +6,7 @@ a round-tripped model classifies identically and reproduces log-scores.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -76,6 +77,22 @@ class ModelArchive:
                     f"{self.variant} archives need pipeline config, vocabulary "
                     "and weighting"
                 )
+            if self.model.vocab_size != len(self.vocab):
+                raise ValueError(f"vocab_size must be {len(self.vocab)}, the token count")
+
+    def encode(self, x):
+        """One raw input as the model scores it: text vectorized as at training
+        time, else a row of cells (a str is split on commas if it has any, else
+        on whitespace); Gaussian cells must parse as finite floats."""
+        if self.variant in TEXT_VARIANTS:
+            return self.encode_text(x)
+        if isinstance(x, str):
+            x = [cell.strip() for cell in x.split(",")] if "," in x else x.split()
+        if self.variant == "gaussian":
+            x = [float(v) for v in x]
+            if not all(map(math.isfinite, x)):
+                raise ValueError("gaussian features must be finite numbers")
+        return x
 
     def encode_text(self, text: str) -> SparseVector:
         """Vectorize raw text exactly as at training time."""
@@ -215,6 +232,9 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
             raise ArchiveError(f"unknown variant {variant!r}")
         priors = _priors_from_payload(doc["priors"])
         model = _model_from_payload(variant, doc["parameters"], priors)
+        alpha = getattr(model, "alpha", 0)  # categorical and multinomial only
+        if type(alpha) not in (int, float) or not alpha >= 0:
+            raise ValueError(f"alpha must be a number >= 0, got {alpha!r}")
         pipeline_config = (
             PipelineConfig(**doc["pipeline"]) if doc.get("pipeline") else None
         )
@@ -231,8 +251,13 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
                 v["document_frequency"],
                 v["total_documents"],
             )
+        archive = ModelArchive(
+            variant, model, pipeline_config, vocab, doc.get("weighting"), stops
+        )
     except KeyError as exc:
         raise ArchiveError(f"archive is missing field {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise ArchiveError(f"malformed archive: {exc}") from exc
-    return ModelArchive(variant, model, pipeline_config, vocab, doc.get("weighting"), stops)
+    except ValueError as exc:
+        raise ArchiveError(str(exc)) from exc
+    return archive

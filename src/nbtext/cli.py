@@ -18,14 +18,14 @@ from .archive import (
     train,
 )
 from .evaluation import (
+    evaluate,
     format_report,
     load_categorical_corpus,
     load_corpus,
     load_numeric_corpus,
     split_indices,
-    tally,
 )
-from .models import BernoulliModel, MultinomialModel, classify, posterior_scores
+from .models import posterior_scores
 from .pipeline import PipelineConfig, load_stop_list
 from .vectorize import BINARY, RAW_COUNT, WEIGHTING_MODES, dump_vocabulary
 
@@ -221,21 +221,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _split_values(line: str) -> List[str]:
-    if "," in line:
-        return [cell.strip() for cell in line.split(",")]
-    return line.split()
-
-
-def _predict_input(archive: ModelArchive, line: str):
-    if archive.variant in TEXT_VARIANTS:
-        return archive.encode_text(line)
-    values = _split_values(line)
-    if archive.variant == "gaussian":
-        return [float(v) for v in values]
-    return values
-
-
 def cmd_predict(args) -> int:
     archive = load_archive(args.model)
     if args.text is not None:
@@ -245,7 +230,7 @@ def cmd_predict(args) -> int:
     for line in lines:
         if not line.strip():
             continue
-        report = posterior_scores(archive.model, _predict_input(archive, line))
+        report = posterior_scores(archive.model, archive.encode(line))
         if report.degenerate_evidence:
             print(
                 "warning: no usable evidence; falling back to class priors",
@@ -270,12 +255,7 @@ def cmd_evaluate(args) -> int:
     archive = _train(
         settings, [labels[i] for i in train_idx], [inputs[i] for i in train_idx]
     )
-    text = settings.variant in TEXT_VARIANTS
-    pairs = []
-    for i in test_idx:
-        x = archive.encode_text(inputs[i]) if text else inputs[i]
-        pairs.append((labels[i], classify(archive.model, x)))
-    report = tally(pairs, archive.model.priors.labels)
+    report = evaluate(archive, [(labels[i], inputs[i]) for i in test_idx])
     print(f"trained on {len(train_idx)} documents, evaluated on {report.n_test}")
     print(format_report(report))
     if args.report_out:
@@ -291,10 +271,7 @@ def _top_tokens(archive: ModelArchive, k: int) -> List[str]:
     tokens = archive.vocab.id_to_token()
     lines = []
     for label in model.priors.labels:
-        if isinstance(model, MultinomialModel):
-            scored = [(model.conditional(label, i), tok) for i, tok in enumerate(tokens)]
-        else:
-            scored = [(model.estimate(label, i), tok) for i, tok in enumerate(tokens)]
+        scored = [(model.conditional(label, i), tok) for i, tok in enumerate(tokens)]
         scored.sort(key=lambda pair: (-pair[0], pair[1]))
         for p, tok in scored[:k]:
             lines.append(f"  {label}\t{tok}\t{p:.6g}")
@@ -327,7 +304,7 @@ def cmd_inspect(args) -> int:
             f"stop_words={cfg.stop_word_mode} ngram={cfg.ngram_size}"
         )
     if args.top_k is not None:
-        if not isinstance(model, (MultinomialModel, BernoulliModel)):
+        if archive.vocab is None:
             print(
                 "note: --top-k applies to multinomial and bernoulli models only",
                 file=sys.stderr,

@@ -6,13 +6,13 @@ and the head of that ordering becomes the test partition.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple, Union
 
-from .models import NaiveBayesModel, classify
-from .pipeline import PipelineConfig, StopList, run_pipeline
-from .vectorize import Vocabulary, vectorize
+from .archive import ModelArchive
+from .models import classify
 
 __all__ = [
     "CorpusFormatError",
@@ -108,13 +108,16 @@ def load_categorical_corpus(
 def load_numeric_corpus(
     path: Union[str, Path],
 ) -> Tuple[List[List[float]], List[str]]:
-    """Parse "label,x1,x2,..." lines into real-valued rows and labels."""
+    """Parse "label,x1,x2,..." lines into finite real-valued rows and labels."""
     rows, labels = [], []
     for lineno, label, values in _load_labeled_rows(path):
         try:
-            rows.append([float(v) for v in values])
+            row = [float(v) for v in values]
         except ValueError as exc:
             raise CorpusFormatError(path, lineno, f"non-numeric feature: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise CorpusFormatError(path, lineno, "features must be finite numbers")
+        rows.append(row)
         labels.append(label)
     return rows, labels
 
@@ -230,21 +233,12 @@ def tally(
 
 
 def evaluate(
-    model: NaiveBayesModel,
-    pipeline_config: PipelineConfig,
-    vocab: Vocabulary,
-    test: LabeledCorpus,
-    weighting: str,
-    stops: Optional[StopList] = None,
+    archive: ModelArchive, test: Iterable[Tuple[str, Any]]
 ) -> EvaluationReport:
-    """Classify every test document through the training-time pipeline and
-    weighting, then tally against the true labels."""
-    pairs = []
-    for true, text in test.documents:
-        stream = run_pipeline(text, pipeline_config, stops)
-        vec = vectorize(stream, vocab, weighting)
-        pairs.append((true, classify(model, vec)))
-    return tally(pairs, model.priors.labels)
+    """Classify each (true label, raw input) pair's input through
+    ``archive.encode`` and tally the predictions against the true labels."""
+    pairs = [(y, classify(archive.model, archive.encode(x))) for y, x in test]
+    return tally(pairs, archive.model.priors.labels)
 
 
 def format_report(report: EvaluationReport) -> str:

@@ -167,6 +167,9 @@ class BernoulliModel:
             self.class_doc_counts[label] + 2
         )
 
+    # the name MultinomialModel uses for its per-token estimate
+    conditional = estimate
+
     @cached_property
     def _log_tables(self) -> Dict[str, Tuple[List[float], List[float]]]:
         # per class: (log p_i, log (1 - p_i)) for every vocabulary id

@@ -353,7 +353,9 @@ def test_criterion_12_sms_corpus_end_to_end():
     model = fit_multinomial(
         vectors, [label for label, _ in train.documents], vocab, alpha=1.0
     )
-    report = evaluate(model, config, vocab, test, RAW_COUNT)
+    report = evaluate(
+        ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test.documents
+    )
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     assert report.accuracy >= 0.90, f"accuracy {report.accuracy:.4f}"

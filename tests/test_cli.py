@@ -198,7 +198,11 @@ class TestPredict:
         (lambda doc: doc.update(priors="ham"), "malformed archive"),
         (lambda doc: doc["parameters"].update(tf_sums=[1, 2]), "malformed archive"),
         (lambda doc: doc["parameters"].pop("tf_sums"), "missing field 'tf_sums'"),
-    ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing"])
+        (lambda doc: doc["parameters"].update(vocab_size=3), "vocab_size"),
+        (lambda doc: doc["parameters"].update(alpha="1"), "alpha"),
+        (lambda doc: doc["parameters"].update(alpha=-1.0), "alpha"),
+    ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
+            "vocab_size-mismatch", "alpha-string", "alpha-negative"])
     def test_malformed_archive(self, tmp_path, corpus_path, capsys, corrupt, message):
         model_path = _train(tmp_path, corpus_path)
         doc = json.loads(model_path.read_text(encoding="utf-8"))
@@ -222,6 +226,22 @@ class TestPredict:
         assert capsys.readouterr().out.strip() == "+"
         assert main(["predict", "--model", str(model_path), "blue,square"]) == 0
         assert capsys.readouterr().out.strip() == "+"
+
+    @pytest.mark.parametrize("row", ["nan,1", "1 inf", "0,-inf"])
+    def test_gaussian_non_finite_feature(self, tmp_path, capsys, row):
+        path = tmp_path / "numeric.csv"
+        path.write_text("a,0,0\na,1,1\nb,5,5\nb,6,6\n", encoding="utf-8")
+        model_path = tmp_path / "gauss.json"
+        assert main(
+            ["train", "--input", str(path), "--model", str(model_path),
+             "--variant", "gaussian"]
+        ) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--probs", row]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "finite" in captured.err
 
 
 class TestEvaluate:
@@ -276,9 +296,7 @@ class TestEvaluate:
             config,
             weighting,
         )
-        expected = evaluate(
-            archive.model, config, archive.vocab, test_part, weighting, archive.stops
-        )
+        expected = evaluate(archive, test_part.documents)
         doc = json.loads(report_path.read_text(encoding="utf-8"))
         assert doc == expected.to_json_dict()
         assert f"trained on {len(train_part)} documents" in capsys.readouterr().out

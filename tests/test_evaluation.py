@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbtext.archive import ModelArchive
 from nbtext.evaluation import (
     CorpusFormatError,
     LabeledCorpus,
@@ -95,6 +96,13 @@ class TestCsvCorpora:
     def test_non_numeric_reports_line_number(self, tmp_path):
         path = _write(tmp_path, "c.csv", "a,1,2\nb,3,4\np,x,5\n")
         with pytest.raises(CorpusFormatError) as err:
+            load_numeric_corpus(path)
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_reports_line_number(self, tmp_path, cell):
+        path = _write(tmp_path, "c.csv", f"a,1,2\nb,3,4\np,{cell},5\n")
+        with pytest.raises(CorpusFormatError, match="finite") as err:
             load_numeric_corpus(path)
         assert err.value.line_number == 3
 
@@ -244,7 +252,9 @@ class TestEvaluate:
 
     def test_end_to_end_report(self, trained):
         model, config, vocab, test = trained
-        report = evaluate(model, config, vocab, test, RAW_COUNT)
+        report = evaluate(
+            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test.documents
+        )
         assert report.n_test == len(test)
         assert 0.0 <= report.accuracy <= 1.0
         total = sum(sum(row.values()) for row in report.confusion.values())
@@ -252,14 +262,20 @@ class TestEvaluate:
 
     def test_deterministic(self, trained):
         model, config, vocab, test = trained
-        a = evaluate(model, config, vocab, test, RAW_COUNT)
-        b = evaluate(model, config, vocab, test, RAW_COUNT)
+        a = evaluate(
+            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test.documents
+        )
+        b = evaluate(
+            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test.documents
+        )
         assert a == b
 
     def test_out_of_vocabulary_document_falls_back_to_prior(self, trained):
         model, config, vocab, _ = trained
         test = LabeledCorpus((("ham", "zzzz qqqq xxxx"),))
-        report = evaluate(model, config, vocab, test, RAW_COUNT)
+        report = evaluate(
+            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test.documents
+        )
         prior_argmax = max(
             model.priors.probabilities, key=lambda c: (model.priors.probabilities[c], c)
         )
@@ -270,7 +286,9 @@ class TestEvaluate:
 
     def test_json_dict_shape(self, trained):
         model, config, vocab, test = trained
-        report = evaluate(model, config, vocab, test, RAW_COUNT)
+        report = evaluate(
+            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test.documents
+        )
         doc = report.to_json_dict()
         assert set(doc) >= {"accuracy", "per_label", "confusion", "n_test"}
         for metrics in doc["per_label"].values():

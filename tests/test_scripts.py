@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -24,3 +26,43 @@ def test_sms_benchmark_runs_on_sample_corpus():
     )
     assert result.returncode == 0, result.stderr
     assert any(line.startswith("accuracy:") for line in result.stdout.splitlines())
+
+
+SAMPLE = "tests/data/sample_messages.tsv"
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--input", SAMPLE, "--variant", "multinomial", "--weighting",
+     "tfidf", "--ngram", "2", "--stem", "on", "--stop-words", "top:5", "--seed", "3"],
+    ["predict", "--probs", "--model", "MODEL"],
+], ids=["evaluate", "predict"])
+def test_traced_cli_matches_untraced(tmp_path, command):
+    """perfbench/tracer.py looks up every function it traces by name, so a
+    rename in nbtext breaks traced benchmark runs; its output must also equal
+    the plain CLI's."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+
+    def run(*argv, stdin=None):
+        return subprocess.run(
+            [sys.executable, *argv], cwd=ROOT, env=env, input=stdin,
+            capture_output=True, timeout=120,
+        )
+
+    model = tmp_path / "model.json"
+    trained = run("-m", "nbtext.cli", "train", "--input", SAMPLE, "--model",
+                  str(model), "--variant", "bernoulli", "--stem", "on")
+    assert trained.returncode == 0, trained.stderr
+    command = [str(model) if arg == "MODEL" else arg for arg in command]
+    texts = b"".join(
+        line.split(b"\t", 1)[1] for line in (ROOT / SAMPLE).read_bytes().splitlines(True)
+    )
+    plain = run("-m", "nbtext.cli", *command, stdin=texts)
+    assert plain.returncode == 0, plain.stderr
+    traced = run("perfbench/tracer.py", str(tmp_path / "spans"), "test", "--",
+                 *command, stdin=texts)
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert (tmp_path / "spans.json").exists()
