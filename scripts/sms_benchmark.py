@@ -12,10 +12,10 @@ import sys
 import time
 from pathlib import Path
 
-from nbtext.archive import train
+from nbtext.archive import VARIANTS, train
 from nbtext.evaluation import evaluate, format_report, load_corpus, split
 from nbtext.pipeline import PipelineConfig
-from nbtext.vectorize import BINARY
+from nbtext.vectorize import WEIGHTING_MODES
 
 DEFAULT_CORPUS = Path(__file__).resolve().parents[1] / "data" / "SMSSpamCollection"
 
@@ -23,11 +23,13 @@ DEFAULT_CORPUS = Path(__file__).resolve().parents[1] / "data" / "SMSSpamCollecti
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--corpus", type=Path, default=DEFAULT_CORPUS)
-    parser.add_argument("--variant", choices=["multinomial", "bernoulli"],
-                        default="multinomial")
-    parser.add_argument("--weighting", default="raw_count",
-                        choices=["raw_count", "normalized_tf", "tfidf", "binary"])
-    parser.add_argument("--alpha", type=float, default=1.0)
+    parser.add_argument("--variant", default="multinomial",
+                        choices=[name for name, v in VARIANTS.items() if v.text])
+    parser.add_argument("--weighting", choices=WEIGHTING_MODES,
+                        help="default: the variant's default weighting")
+    parser.add_argument("--alpha", type=float,
+                        help="additive smoothing, for variants that use it "
+                        "(default 1.0)")
     parser.add_argument("--test-fraction", type=float, default=0.2)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--stem", action="store_true")
@@ -35,6 +37,14 @@ def main() -> int:
                         help="remove the N most frequent training tokens")
     parser.add_argument("--ngram", type=int, default=1)
     args = parser.parse_args()
+    spec = VARIANTS[args.variant]
+    if args.alpha is not None and not spec.smoothed:
+        parser.error(f"--alpha does not apply to the {args.variant} variant")
+    alpha = 1.0 if args.alpha is None else args.alpha
+    try:
+        spec.check(args.weighting, alpha)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if not args.corpus.exists():
         print(f"corpus not found at {args.corpus}", file=sys.stderr)
@@ -51,21 +61,20 @@ def main() -> int:
         frequency_top_n=args.stop_top or None,
         ngram_size=args.ngram,
     )
-    weighting = BINARY if args.variant == "bernoulli" else args.weighting
     archive = train(
         args.variant,
         [label for label, _ in train_part.documents],
         [text for _, text in train_part.documents],
-        args.alpha,
+        alpha,
         config,
-        weighting,
+        args.weighting,
     )
     report = evaluate(archive, test_part.documents)
     elapsed = time.perf_counter() - started
 
     print(f"corpus: {args.corpus} ({len(corpus)} messages)")
-    print(f"variant: {args.variant}  weighting: {weighting}  "
-          f"alpha: {args.alpha}  stem: {args.stem}  "
+    print(f"variant: {args.variant}  weighting: {archive.weighting}  "
+          f"alpha: {alpha}  stem: {args.stem}  "
           f"stop_top: {args.stop_top}  ngram: {args.ngram}")
     print(f"train/test: {len(train_part)}/{len(test_part)}  "
           f"vocabulary: {len(archive.vocab)}")

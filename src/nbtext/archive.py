@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
 from .models import (
     BernoulliModel,
@@ -24,7 +24,16 @@ from .models import (
     fit_multinomial,
 )
 from .pipeline import PipelineConfig, StopList, build_stop_list, run_pipeline, tokenize
-from .vectorize import SparseVector, Vocabulary, build_vocabulary, vectorize
+from .vectorize import (
+    BINARY,
+    NORMALIZED_TF,
+    RAW_COUNT,
+    TFIDF,
+    SparseVector,
+    Vocabulary,
+    build_vocabulary,
+    vectorize,
+)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -37,14 +46,61 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-# variant name -> model class, in the order the CLI lists them
+
+def finite_float(cell) -> float:
+    """One real-valued feature cell as a float; nan and infinities are refused."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError("features must be finite numbers")
+    return value
+
+
+@dataclass(frozen=True)
+class Variant:
+    """What one model family takes. ``weightings`` lists the term weightings
+    it accepts, default first; an empty list means it takes rows of cells,
+    each parsed by ``cell``, instead of text. ``smoothed`` variants use
+    ``alpha``; the others ignore it."""
+
+    name: str
+    model_class: type
+    weightings: Tuple[str, ...] = ()
+    smoothed: bool = False
+    cell: Optional[Callable[[Any], Any]] = None
+
+    @property
+    def text(self) -> bool:
+        return bool(self.weightings)
+
+    def check(self, weighting: Optional[str], alpha) -> Optional[str]:
+        """The weighting to train with (None: the default); ValueError if not taken."""
+        finite = type(alpha) in (int, float) and 0 <= alpha < math.inf
+        if self.smoothed and not finite:
+            raise ValueError(f"alpha must be a finite number >= 0, got {alpha!r}")
+        if weighting is None:
+            return self.weightings[0] if self.text else None
+        if weighting not in self.weightings:
+            takes = " or ".join(self.weightings) or "no"
+            raise ValueError(f"{self.name} takes {takes} weighting, not {weighting!r}")
+        return weighting
+
+
+# variant name -> what it takes, in the order the CLI lists them
 VARIANTS = {
-    "categorical": CategoricalModel,
-    "bernoulli": BernoulliModel,
-    "multinomial": MultinomialModel,
-    "gaussian": GaussianModel,
+    v.name: v
+    for v in (
+        Variant("categorical", CategoricalModel, smoothed=True, cell=str),
+        Variant("bernoulli", BernoulliModel, (BINARY,)),
+        Variant("multinomial", MultinomialModel, (RAW_COUNT, NORMALIZED_TF, TFIDF), True),
+        Variant("gaussian", GaussianModel, cell=finite_float),
+    )
 }
-TEXT_VARIANTS = ("bernoulli", "multinomial")
+
+
+def _variant_spec(name: str) -> Variant:
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant: {name!r}")
+    return VARIANTS[name]
 
 
 class ArchiveError(Exception):
@@ -55,7 +111,7 @@ class ArchiveError(Exception):
 class ModelArchive:
     """A trained model plus everything needed to classify new input:
     pipeline config, stop list, vocabulary, and weighting mode (text
-    variants only; categorical and gaussian models carry none of these)."""
+    variants only; row variants carry none of these)."""
 
     variant: str
     model: NaiveBayesModel
@@ -65,38 +121,35 @@ class ModelArchive:
     stops: Optional[StopList] = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant: {self.variant!r}")
-        if not isinstance(self.model, VARIANTS[self.variant]):
+        spec = _variant_spec(self.variant)
+        if not isinstance(self.model, spec.model_class):
             raise ValueError(
-                f"{self.variant} archives hold a {VARIANTS[self.variant].__name__}"
+                f"{self.variant} archives hold a {spec.model_class.__name__}"
             )
-        if self.variant in TEXT_VARIANTS:
+        if spec.text:
             if self.pipeline_config is None or self.vocab is None or not self.weighting:
                 raise ValueError(
                     f"{self.variant} archives need pipeline config, vocabulary "
                     "and weighting"
                 )
-            if self.model.vocab_size != len(self.vocab):
-                raise ValueError(f"vocab_size must be {len(self.vocab)}, the token count")
+            size = self.model.vocab_size
+            if type(size) is not int or size != len(self.vocab):
+                raise ValueError(f"vocab_size must be the token count, {len(self.vocab)}")
 
     def encode(self, x):
         """One raw input as the model scores it: text vectorized as at training
         time, else a row of cells (a str is split on commas if it has any, else
-        on whitespace); Gaussian cells must parse as finite floats."""
-        if self.variant in TEXT_VARIANTS:
+        on whitespace), each parsed by the variant's cell rule."""
+        spec = VARIANTS[self.variant]
+        if spec.text:
             return self.encode_text(x)
         if isinstance(x, str):
             x = [cell.strip() for cell in x.split(",")] if "," in x else x.split()
-        if self.variant == "gaussian":
-            x = [float(v) for v in x]
-            if not all(map(math.isfinite, x)):
-                raise ValueError("gaussian features must be finite numbers")
-        return x
+        return [spec.cell(v) for v in x]
 
     def encode_text(self, text: str) -> SparseVector:
         """Vectorize raw text exactly as at training time."""
-        if self.variant not in TEXT_VARIANTS:
+        if not VARIANTS[self.variant].text:
             raise ValueError(f"{self.variant} models do not take raw text")
         stream = run_pipeline(text, self.pipeline_config, self.stops)
         return vectorize(stream, self.vocab, self.weighting)
@@ -119,6 +172,8 @@ def _priors_from_payload(payload: dict) -> ClassPriors:
     labels = payload["labels"]
     counts = dict(zip(labels, payload["counts"]))
     total = payload["total"]
+    if not total > 0 or sum(counts.values()) != total:
+        raise ValueError(f"priors total {total!r} is not the sum of the counts")
     probs = {lab: counts[lab] / total for lab in labels}
     return ClassPriors(probs, counts, total)
 
@@ -139,9 +194,8 @@ def _model_payload(model: NaiveBayesModel) -> dict:
 
 
 def _model_from_payload(
-    variant: str, payload: dict, priors: ClassPriors
+    model_class: type, payload: dict, priors: ClassPriors
 ) -> NaiveBayesModel:
-    model_class = VARIANTS[variant]
     params = {}
     for f in fields(model_class)[1:]:
         decode = _FIELD_DECODERS.get(f.name)
@@ -160,18 +214,21 @@ def train(
 ) -> ModelArchive:
     """Fit a ``variant`` model and return it as an archive.
 
-    ``inputs`` are raw texts for the text variants, which also need a
-    ``weighting``; otherwise they are parsed feature rows, and the pipeline
-    settings are ignored. When the config asks for a frequency stop list and
-    ``stops`` is None, it is built from the training texts. ``alpha`` is
-    ignored by the Bernoulli and Gaussian variants.
+    ``inputs`` are raw texts for the text variants, weighted by ``weighting``
+    (None: the variant's default); otherwise rows of cells, parsed by the
+    cell rule of ``encode``, and the pipeline settings are ignored. A config
+    asking for a frequency stop list with ``stops`` None builds it from the
+    texts. Variants that smooth with ``alpha`` need a finite number >= 0; the
+    others ignore it. Raises ValueError for what the variant does not take.
     """
+    spec = _variant_spec(variant)
+    weighting = spec.check(weighting, alpha)
+    if not spec.text:
+        inputs = [[spec.cell(v) for v in row] for row in inputs]
     if variant == "categorical":
         return ModelArchive(variant, fit_categorical(inputs, labels, alpha))
     if variant == "gaussian":
         return ModelArchive(variant, fit_gaussian(inputs, labels))
-    if variant not in TEXT_VARIANTS:
-        raise ValueError(f"unknown variant: {variant!r}")
     if stops is None and pipeline_config.stop_word_mode == "frequency":
         tokenized = (tokenize(text, pipeline_config) for text in inputs)
         stops = build_stop_list(tokenized, pipeline_config.frequency_top_n)
@@ -228,13 +285,10 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
                 f"version {FORMAT_VERSION}"
             )
         variant = doc["variant"]
-        if variant not in VARIANTS:
-            raise ArchiveError(f"unknown variant {variant!r}")
+        spec = _variant_spec(variant)
         priors = _priors_from_payload(doc["priors"])
-        model = _model_from_payload(variant, doc["parameters"], priors)
-        alpha = getattr(model, "alpha", 0)  # categorical and multinomial only
-        if type(alpha) not in (int, float) or not alpha >= 0:
-            raise ValueError(f"alpha must be a number >= 0, got {alpha!r}")
+        model = _model_from_payload(spec.model_class, doc["parameters"], priors)
+        spec.check(None, getattr(model, "alpha", None))  # train's alpha rule
         pipeline_config = (
             PipelineConfig(**doc["pipeline"]) if doc.get("pipeline") else None
         )

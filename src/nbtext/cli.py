@@ -9,7 +9,6 @@ import sys
 from typing import List, Optional, Tuple
 
 from .archive import (
-    TEXT_VARIANTS,
     VARIANTS,
     ArchiveError,
     ModelArchive,
@@ -20,14 +19,13 @@ from .archive import (
 from .evaluation import (
     evaluate,
     format_report,
-    load_categorical_corpus,
     load_corpus,
-    load_numeric_corpus,
+    load_row_corpus,
     split_indices,
 )
 from .models import posterior_scores
 from .pipeline import PipelineConfig, load_stop_list
-from .vectorize import BINARY, RAW_COUNT, WEIGHTING_MODES, dump_vocabulary
+from .vectorize import WEIGHTING_MODES, dump_vocabulary
 
 
 class _UsageError(Exception):
@@ -41,6 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "evaluate and inspect models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = ", ".join(
+        f"{v.weightings[0]} for {n}" for n, v in VARIANTS.items() if v.text
+    )
+    smoothed = " and ".join(n for n, v in VARIANTS.items() if v.smoothed)
 
     def add_training_flags(p):
         p.add_argument("--input", required=True, help="corpus file")
@@ -50,13 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--weighting",
             choices=WEIGHTING_MODES,
-            help="term weighting (text variants; default binary for "
-            "bernoulli, raw_count for multinomial)",
+            help=f"term weighting (text variants; default {defaults})",
         )
         p.add_argument(
             "--alpha",
             type=float,
-            help="additive smoothing (categorical and multinomial; default 1.0)",
+            help=f"additive smoothing ({smoothed}; default 1.0)",
         )
         p.add_argument("--ngram", type=int, help="n-gram size (default 1)")
         p.add_argument(
@@ -127,41 +128,21 @@ class _TrainSettings:
     """Validated flag bundle shared by train and evaluate."""
 
     def __init__(self, args):
-        self.variant = args.variant
-        text = self.variant in TEXT_VARIANTS
+        self.spec = VARIANTS[args.variant]
         pipeline_flags = (args.ngram, args.stop_words, args.stem, args.lowercase)
-        if not text:
-            if args.weighting is not None:
-                raise _UsageError(
-                    f"--weighting does not apply to the {self.variant} variant"
-                )
-            if any(flag is not None for flag in pipeline_flags):
-                raise _UsageError(
-                    "pipeline flags (--ngram/--stop-words/--stem/--lowercase) "
-                    f"do not apply to the {self.variant} variant"
-                )
-        if self.variant == "bernoulli":
-            if args.weighting not in (None, BINARY):
-                raise _UsageError("bernoulli requires --weighting binary")
-            if args.alpha is not None:
-                raise _UsageError(
-                    "bernoulli smoothing is fixed (+1/+2); --alpha does not apply"
-                )
-            self.weighting: Optional[str] = BINARY
-        elif self.variant == "multinomial":
-            if args.weighting == BINARY:
-                raise _UsageError(
-                    "multinomial takes raw_count, normalized_tf or tfidf weighting"
-                )
-            self.weighting = args.weighting or RAW_COUNT
-        else:
-            self.weighting = None
-        if self.variant == "gaussian" and args.alpha is not None:
-            raise _UsageError("--alpha does not apply to the gaussian variant")
+        if not self.spec.text and any(flag is not None for flag in pipeline_flags):
+            raise _UsageError(
+                "pipeline flags (--ngram/--stop-words/--stem/--lowercase) "
+                f"do not apply to the {self.spec.name} variant"
+            )
+        if not self.spec.smoothed and args.alpha is not None:
+            raise _UsageError(f"--alpha does not apply to the {self.spec.name} variant")
         self.alpha = 1.0 if args.alpha is None else args.alpha
-        if self.alpha < 0:
-            raise _UsageError("--alpha must be >= 0")
-        self.stop_mode, self.stop_path, self.stop_top_n = _parse_stop_spec(
+        try:
+            self.weighting = self.spec.check(args.weighting, self.alpha)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+        stop_mode, self.stop_path, stop_top_n = _parse_stop_spec(
             args.stop_words if args.stop_words is not None else "none"
         )
         ngram = args.ngram if args.ngram is not None else 1
@@ -170,53 +151,34 @@ class _TrainSettings:
         self.pipeline = PipelineConfig(
             lowercase=(args.lowercase or "on") == "on",
             strip_punctuation=True,
-            stop_word_mode=self.stop_mode,
-            frequency_top_n=self.stop_top_n,
+            stop_word_mode=stop_mode,
+            frequency_top_n=stop_top_n,
             stemming=(args.stem or "off") == "on",
             ngram_size=ngram,
         )
 
+    def load_data(self, path: str) -> Tuple[list, list]:
+        """Labels and inputs: raw texts for the text variants, parsed rows otherwise."""
+        if self.spec.text:
+            documents = load_corpus(path).documents
+            return [label for label, _ in documents], [text for _, text in documents]
+        rows, labels = load_row_corpus(path, self.spec.cell)
+        return labels, rows
 
-def _load_training_data(settings: _TrainSettings, path: str) -> Tuple[list, list]:
-    """Labels and inputs: raw texts for the text variants, parsed rows otherwise."""
-    if settings.variant in TEXT_VARIANTS:
-        documents = load_corpus(path).documents
-        return [label for label, _ in documents], [text for _, text in documents]
-    if settings.variant == "categorical":
-        samples, labels = load_categorical_corpus(path)
-    else:
-        samples, labels = load_numeric_corpus(path)
-    return labels, samples
-
-
-def _train(settings: _TrainSettings, labels: list, inputs: list) -> ModelArchive:
-    stops = None
-    if settings.stop_mode == "dictionary":
-        stops = load_stop_list(settings.stop_path)
-    return train(
-        settings.variant,
-        labels,
-        inputs,
-        settings.alpha,
-        settings.pipeline,
-        settings.weighting,
-        stops,
-    )
-
-
-def _print_training_summary(archive: ModelArchive) -> None:
-    counts = archive.model.priors.counts or {}
-    parts = [f"{label}={n}" for label, n in counts.items()]
-    print(f"classes: {' '.join(parts)}")
-    if archive.vocab is not None:
-        print(f"vocabulary: {len(archive.vocab)} tokens")
+    def fit(self, labels: list, inputs: list) -> ModelArchive:
+        stops = load_stop_list(self.stop_path) if self.stop_path else None
+        options = (self.alpha, self.pipeline, self.weighting, stops)
+        return train(self.spec.name, labels, inputs, *options)
 
 
 def cmd_train(args) -> int:
     settings = _TrainSettings(args)
-    archive = _train(settings, *_load_training_data(settings, args.input))
+    archive = settings.fit(*settings.load_data(args.input))
     save_archive(archive, args.model)
-    _print_training_summary(archive)
+    counts = archive.model.priors.counts or {}
+    print(f"classes: {' '.join(f'{label}={n}' for label, n in counts.items())}")
+    if archive.vocab is not None:
+        print(f"vocabulary: {len(archive.vocab)} tokens")
     print(f"model written to {args.model}")
     return 0
 
@@ -250,11 +212,9 @@ def cmd_evaluate(args) -> int:
     settings = _TrainSettings(args)
     if not 0.0 < args.test_fraction < 1.0:
         raise _UsageError("--test-fraction must be strictly between 0 and 1")
-    labels, inputs = _load_training_data(settings, args.input)
+    labels, inputs = settings.load_data(args.input)
     train_idx, test_idx = split_indices(len(inputs), args.test_fraction, args.seed)
-    archive = _train(
-        settings, [labels[i] for i in train_idx], [inputs[i] for i in train_idx]
-    )
+    archive = settings.fit([labels[i] for i in train_idx], [inputs[i] for i in train_idx])
     report = evaluate(archive, [(labels[i], inputs[i]) for i in test_idx])
     print(f"trained on {len(train_idx)} documents, evaluated on {report.n_test}")
     print(format_report(report))
@@ -279,6 +239,8 @@ def _top_tokens(archive: ModelArchive, k: int) -> List[str]:
 
 
 def cmd_inspect(args) -> int:
+    if args.top_k is not None and args.top_k < 0:
+        raise _UsageError("--top-k must be >= 0")
     archive = load_archive(args.model)
     model = archive.model
     print(f"variant: {archive.variant}")
@@ -305,10 +267,7 @@ def cmd_inspect(args) -> int:
         )
     if args.top_k is not None:
         if archive.vocab is None:
-            print(
-                "note: --top-k applies to multinomial and bernoulli models only",
-                file=sys.stderr,
-            )
+            print("note: --top-k applies to text variants only", file=sys.stderr)
         else:
             print(f"top {args.top_k} tokens per class:")
             for line in _top_tokens(archive, args.top_k):
@@ -332,10 +291,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArchiveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (ArchiveError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,12 +6,11 @@ and the head of that ordering becomes the test partition.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple, Union
 
-from .archive import ModelArchive
+from .archive import ModelArchive, finite_float
 from .models import classify
 
 __all__ = [
@@ -20,6 +19,7 @@ __all__ = [
     "LabelMetrics",
     "EvaluationReport",
     "load_corpus",
+    "load_row_corpus",
     "load_categorical_corpus",
     "load_numeric_corpus",
     "split",
@@ -72,54 +72,39 @@ def load_corpus(path: Union[str, Path]) -> LabeledCorpus:
     return LabeledCorpus(tuple(docs))
 
 
-def _load_labeled_rows(path) -> List[Tuple[int, str, List[str]]]:
-    """Parse "label,v1,v2,..." lines into (line number, label, values)."""
-    rows = []
-    arity = None
+def load_row_corpus(path: Union[str, Path], cell=str) -> Tuple[List[list], List[str]]:
+    """Parse "label,v1,v2,..." lines into rows of cells and labels. Each cell
+    goes through ``cell``; its ValueError is reported at the line number."""
+    rows, labels = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            cells = [cell.strip() for cell in line.split(",")]
-            if len(cells) < 2:
+            label, *values = [v.strip() for v in line.split(",")]
+            if not values:
                 raise CorpusFormatError(path, lineno, "expected 'label,v1,...'")
-            label, values = cells[0], cells[1:]
-            if arity is None:
-                arity = len(values)
-            elif len(values) != arity:
-                raise CorpusFormatError(
-                    path, lineno, f"expected {arity} feature values, got {len(values)}"
-                )
-            rows.append((lineno, label, values))
+            if rows and len(values) != len(rows[0]):
+                message = f"expected {len(rows[0])} feature values, got {len(values)}"
+                raise CorpusFormatError(path, lineno, message)
+            try:
+                rows.append([cell(v) for v in values])
+            except ValueError as exc:
+                raise CorpusFormatError(path, lineno, str(exc)) from exc
+            labels.append(label)
     if not rows:
         raise CorpusFormatError(path, 0, "empty corpus")
-    return rows
-
-
-def load_categorical_corpus(
-    path: Union[str, Path],
-) -> Tuple[List[List[str]], List[str]]:
-    """Parse "label,v1,v2,..." lines into feature tuples and labels."""
-    rows = _load_labeled_rows(path)
-    return [values for _, _, values in rows], [label for _, label, _ in rows]
-
-
-def load_numeric_corpus(
-    path: Union[str, Path],
-) -> Tuple[List[List[float]], List[str]]:
-    """Parse "label,x1,x2,..." lines into finite real-valued rows and labels."""
-    rows, labels = [], []
-    for lineno, label, values in _load_labeled_rows(path):
-        try:
-            row = [float(v) for v in values]
-        except ValueError as exc:
-            raise CorpusFormatError(path, lineno, f"non-numeric feature: {exc}") from exc
-        if not all(map(math.isfinite, row)):
-            raise CorpusFormatError(path, lineno, "features must be finite numbers")
-        rows.append(row)
-        labels.append(label)
     return rows, labels
+
+
+def load_categorical_corpus(path: Union[str, Path]) -> Tuple[List[List[str]], List[str]]:
+    """Parse "label,v1,v2,..." lines into feature tuples and labels."""
+    return load_row_corpus(path, str)
+
+
+def load_numeric_corpus(path: Union[str, Path]) -> Tuple[List[List[float]], List[str]]:
+    """Parse "label,x1,x2,..." lines into finite real-valued rows and labels."""
+    return load_row_corpus(path, finite_float)
 
 
 def _index_digest(seed: int, index: int) -> bytes:

@@ -162,6 +162,10 @@ class BernoulliModel:
     class_doc_counts: Dict[str, int]
     vocab_size: int
 
+    def __post_init__(self):
+        if any(len(row) != self.vocab_size for row in self.doc_counts.values()):
+            raise ValueError("doc_counts rows must have vocab_size entries")
+
     def estimate(self, label: str, token_id: int) -> float:
         return (self.doc_counts[label][token_id] + 1) / (
             self.class_doc_counts[label] + 2

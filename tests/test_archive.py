@@ -273,3 +273,62 @@ def test_model_must_match_variant(toy_shapes):
     model = fit_categorical(*toy_shapes, alpha=0.0)
     with pytest.raises(ValueError, match="GaussianModel"):
         ModelArchive("gaussian", model)
+
+
+def test_train_resolves_the_default_weighting(tmp_path, data_dir):
+    labels, texts = _training_data("multinomial", data_dir, None)
+    save_archive(train("multinomial", labels, texts), tmp_path / "default.json")
+    save_archive(
+        train("multinomial", labels, texts, weighting=RAW_COUNT),
+        tmp_path / "explicit.json",
+    )
+    assert (tmp_path / "default.json").read_bytes() == (
+        tmp_path / "explicit.json"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("variant,weighting", [
+    ("multinomial", BINARY),
+    ("bernoulli", RAW_COUNT),
+    ("bernoulli", TFIDF),
+    ("categorical", BINARY),
+    ("gaussian", RAW_COUNT),
+])
+def test_train_rejects_a_weighting_the_variant_does_not_take(
+    data_dir, toy_shapes, variant, weighting
+):
+    labels, inputs = _training_data(variant, data_dir, toy_shapes)
+    with pytest.raises(ValueError, match="weighting"):
+        train(variant, labels, inputs, weighting=weighting)
+
+
+@pytest.mark.parametrize("variant", ["categorical", "multinomial"])
+@pytest.mark.parametrize("alpha", [-0.5, math.inf, math.nan, "1", True, None])
+def test_train_rejects_alpha_that_is_not_a_finite_number(
+    data_dir, toy_shapes, variant, alpha
+):
+    labels, inputs = _training_data(variant, data_dir, toy_shapes)
+    with pytest.raises(ValueError, match="alpha"):
+        train(variant, labels, inputs, alpha)
+
+
+@pytest.mark.parametrize("variant", ["bernoulli", "gaussian"])
+def test_unsmoothed_variants_ignore_alpha(tmp_path, data_dir, toy_shapes, variant):
+    labels, inputs = _training_data(variant, data_dir, toy_shapes)
+    save_archive(train(variant, labels, inputs, 1.0), tmp_path / "one.json")
+    save_archive(train(variant, labels, inputs, math.inf), tmp_path / "inf.json")
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "inf.json").read_bytes()
+
+
+def test_train_parses_row_cells_as_encode_does(tmp_path):
+    labels = ["a", "a", "b", "b"]
+    archive = train("categorical", labels, [[1, 2], [1, 3], [4, 2], [4, 4]], 0.5)
+    save_archive(archive, tmp_path / "m.json")
+    loaded = load_archive(tmp_path / "m.json")
+    for row in ([1, 2], [4, 3], "1,3"):
+        a = posterior_scores(archive.model, archive.encode(row))
+        b = posterior_scores(loaded.model, loaded.encode(row))
+        assert a.predicted == b.predicted and a.log_scores == b.log_scores
+    rows = [[0.0, 1.0], [0.5, 1.5], [5.0, 5.0], [float("nan"), 6.0]]
+    with pytest.raises(ValueError, match="finite"):
+        train("gaussian", labels, rows)

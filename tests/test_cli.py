@@ -5,11 +5,17 @@ import shutil
 
 import pytest
 
-from nbtext.archive import train
+from nbtext.archive import VARIANTS, train
 from nbtext.cli import main
-from nbtext.evaluation import evaluate, load_corpus, split
+from nbtext.evaluation import (
+    evaluate,
+    load_categorical_corpus,
+    load_corpus,
+    load_numeric_corpus,
+    split,
+)
 from nbtext.pipeline import PipelineConfig
-from nbtext.vectorize import BINARY, RAW_COUNT
+from nbtext.vectorize import BINARY, RAW_COUNT, WEIGHTING_MODES
 
 TOY_CSV = (
     "+,blue,square\n+,blue,square\n+,blue,circle\n+,green,square\n"
@@ -91,6 +97,22 @@ class TestTrain:
              "--variant", "bernoulli", "--alpha", "2.0"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_non_finite_alpha_rejected(self, tmp_path, corpus_path, capsys,
+                                       command, alpha):
+        model = ["--model", str(tmp_path / "m")] if command == "train" else []
+        code = main(
+            [command, "--input", str(corpus_path), *model,
+             "--variant", "multinomial", "--alpha", alpha]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "alpha" in captured.err
+        assert not (tmp_path / "m").exists()
 
     def test_pipeline_flags_rejected_for_categorical(self, tmp_path, toy_csv_path):
         code = main(
@@ -201,8 +223,14 @@ class TestPredict:
         (lambda doc: doc["parameters"].update(vocab_size=3), "vocab_size"),
         (lambda doc: doc["parameters"].update(alpha="1"), "alpha"),
         (lambda doc: doc["parameters"].update(alpha=-1.0), "alpha"),
+        (lambda doc: doc["priors"].update(total=0), "total"),
+        (lambda doc: doc["priors"].update(total=doc["priors"]["total"] + 1), "total"),
+        (lambda doc: doc["parameters"].update(
+            vocab_size=float(doc["parameters"]["vocab_size"])), "vocab_size"),
+        (lambda doc: doc["parameters"].update(alpha=float("inf")), "alpha"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
-            "vocab_size-mismatch", "alpha-string", "alpha-negative"])
+            "vocab_size-mismatch", "alpha-string", "alpha-negative",
+            "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf"])
     def test_malformed_archive(self, tmp_path, corpus_path, capsys, corrupt, message):
         model_path = _train(tmp_path, corpus_path)
         doc = json.loads(model_path.read_text(encoding="utf-8"))
@@ -213,6 +241,22 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_short_bernoulli_row(self, tmp_path, corpus_path, capsys):
+        model_path = tmp_path / "bernoulli.json"
+        assert main(
+            ["train", "--input", str(corpus_path), "--model", str(model_path),
+             "--variant", "bernoulli"]
+        ) == 0
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        doc["parameters"]["doc_counts"]["spam"].pop()
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "free prize"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "doc_counts" in captured.err
 
     def test_categorical_query(self, tmp_path, toy_csv_path, capsys):
         model_path = tmp_path / "toy.json"
@@ -371,6 +415,15 @@ class TestInspect:
         for values in by_class.values():
             assert values == sorted(values, reverse=True)
 
+    def test_negative_top_k_is_usage_error(self, tmp_path, corpus_path, capsys):
+        model_path = _train(tmp_path, corpus_path)
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(model_path), "--top-k", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--top-k" in captured.err
+
     def test_dump_vocab(self, tmp_path, corpus_path, capsys):
         model_path = _train(tmp_path, corpus_path)
         capsys.readouterr()
@@ -380,3 +433,41 @@ class TestInspect:
         assert dump_lines[0].startswith("0\t")
         parts = dump_lines[0].split("\t")
         assert len(parts) == 3 and int(parts[2]) >= 1
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_cli_and_train_enforce_one_rule_set(
+    tmp_path, corpus_path, toy_csv_path, capsys, variant
+):
+    """Every --weighting/--alpha combination the CLI rejects, train rejects
+    too, and the other way round. The one CLI-only rule is that --alpha is a
+    usage error for a variant that does not smooth; train ignores alpha there."""
+    if variant == "categorical":
+        path = toy_csv_path
+        inputs, labels = load_categorical_corpus(path)
+    elif variant == "gaussian":
+        path = tmp_path / "numeric.csv"
+        path.write_text("a,0,0\na,1,1\nb,5,5\nb,6,6\n", encoding="utf-8")
+        inputs, labels = load_numeric_corpus(path)
+    else:
+        path = corpus_path
+        documents = load_corpus(path).documents
+        labels, inputs = [y for y, _ in documents], [x for _, x in documents]
+    smoothed = VARIANTS[variant].smoothed
+    for weighting in (None, *WEIGHTING_MODES):
+        for alpha in (None, "0", "0.5", "-1", "inf", "nan"):
+            argv = ["train", "--input", str(path), "--model", str(tmp_path / "m"),
+                    "--variant", variant]
+            argv += ["--weighting", weighting] if weighting else []
+            argv += ["--alpha", alpha] if alpha else []
+            code = main(argv)
+            capsys.readouterr()
+            if alpha is not None and not smoothed:
+                assert code == 2, argv
+                continue
+            try:
+                train(variant, labels, inputs, float(alpha or 1.0), weighting=weighting)
+                expected = 0
+            except ValueError:
+                expected = 2
+            assert code == expected, argv

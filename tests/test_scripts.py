@@ -10,22 +10,55 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_sms_benchmark_runs_on_sample_corpus():
+def _run_script(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    result = subprocess.run(
-        [sys.executable, "scripts/sms_benchmark.py",
-         "--corpus", "tests/data/sample_messages.tsv", "--stem", "--stop-top", "5"],
+    return subprocess.run(
+        [sys.executable, *argv],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_sms_benchmark_runs_on_sample_corpus():
+    for extra in ([], ["--variant", "bernoulli"]):
+        result = _run_script(
+            "scripts/sms_benchmark.py", "--corpus", "tests/data/sample_messages.tsv",
+            "--stem", "--stop-top", "5", *extra,
+        )
+        assert result.returncode == 0, result.stderr
+        assert any(line.startswith("accuracy:") for line in result.stdout.splitlines())
+
+
+@pytest.mark.parametrize("flags", [
+    ["--variant", "multinomial", "--weighting", "binary"],
+    ["--variant", "bernoulli", "--weighting", "raw_count"],
+    ["--variant", "bernoulli", "--alpha", "2"],
+    ["--alpha", "inf"],
+    ["--alpha", "nan"],
+    ["--variant", "categorical"],
+])
+def test_sms_benchmark_rejects_what_the_cli_rejects(flags):
+    result = _run_script(
+        "scripts/sms_benchmark.py", "--corpus", "tests/data/sample_messages.tsv",
+        *flags,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1].startswith("sms_benchmark.py: error: ")
+
+
+def test_toy_example_prints_the_papers_decisions():
+    result = _run_script("scripts/toy_example.py")
     assert result.returncode == 0, result.stderr
-    assert any(line.startswith("accuracy:") for line in result.stdout.splitlines())
+    lines = result.stdout.splitlines()
+    assert "decision: +" in lines
+    assert "decision under uniform priors: -" in lines
 
 
 SAMPLE = "tests/data/sample_messages.tsv"
