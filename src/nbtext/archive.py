@@ -200,6 +200,12 @@ def _model_from_payload(
     for f in fields(model_class)[1:]:
         decode = _FIELD_DECODERS.get(f.name)
         params[f.name] = decode(payload[f.name]) if decode else payload[f.name]
+    # every dict parameter, and each value_counts position, is keyed by label
+    labels = set(priors.labels)
+    for name, value in params.items():
+        for table in value if isinstance(value, tuple) else (value,):
+            if isinstance(table, dict) and set(table) != labels:
+                raise ValueError(f"{name} has labels {sorted(table)}, not {sorted(labels)}")
     return model_class(priors, **params)
 
 

@@ -155,6 +155,11 @@ class BernoulliModel:
     doc_counts[class][i] is the number of class documents containing token
     id i; class_doc_counts[class] is the number of documents in the class.
     The +1/+2 correction keeps every estimate strictly inside (0, 1).
+
+    Scoring is factored as in McCallum & Nigam (1998): per class, a base term
+    sum_i log(1 - p_i) plus, for each token present, log p_i - log(1 - p_i).
+    The tables cost O(V) per class once per model; each document then costs
+    O(tokens present) per class.
     """
 
     priors: ClassPriors
@@ -163,8 +168,16 @@ class BernoulliModel:
     vocab_size: int
 
     def __post_init__(self):
-        if any(len(row) != self.vocab_size for row in self.doc_counts.values()):
-            raise ValueError("doc_counts rows must have vocab_size entries")
+        for label, row in self.doc_counts.items():
+            docs = self.class_doc_counts.get(label)
+            if type(docs) is not int or docs < 0:
+                raise ValueError(f"class_doc_counts[{label!r}] must be an int >= 0")
+            if len(row) != self.vocab_size:
+                raise ValueError("doc_counts rows must have vocab_size entries")
+            if not set(map(type, row)) <= {int}:
+                raise ValueError(f"doc_counts[{label!r}] must hold ints")
+            if row and not 0 <= min(row) <= max(row) <= docs:
+                raise ValueError(f"doc_counts[{label!r}] must lie between 0 and {docs}")
 
     def estimate(self, label: str, token_id: int) -> float:
         return (self.doc_counts[label][token_id] + 1) / (
@@ -175,15 +188,16 @@ class BernoulliModel:
     conditional = estimate
 
     @cached_property
-    def _log_tables(self) -> Dict[str, Tuple[List[float], List[float]]]:
-        # per class: (log p_i, log (1 - p_i)) for every vocabulary id
+    def _log_tables(self) -> Dict[str, Tuple[float, List[float]]]:
+        # per class: (sum_i log(1 - p_i), [log p_i - log(1 - p_i) per id]);
+        # p_i depends only on df_i, so the logs are taken once per distinct count
         out = {}
         for label in self.priors.labels:
             df = self.doc_counts[label]
             den = self.class_doc_counts[label] + 2
-            log_p = [math.log((df[i] + 1) / den) for i in range(self.vocab_size)]
-            log_q = [math.log((den - df[i] - 1) / den) for i in range(self.vocab_size)]
-            out[label] = (log_p, log_q)
+            log_q = {n: math.log((den - n - 1) / den) for n in set(df)}
+            delta = {n: math.log((n + 1) / den) - q for n, q in log_q.items()}
+            out[label] = (math.fsum(map(log_q.get, df)), list(map(delta.get, df)))
         return out
 
 
@@ -262,6 +276,15 @@ class GaussianModel:
     stds: Dict[str, List[float]]
     n_features: int
 
+    def __post_init__(self):
+        rows = [*self.means.values(), *self.stds.values()]
+        if any(len(row) != self.n_features for row in rows):
+            raise ValueError("means and stds rows must have n_features entries")
+        if not all(math.isfinite(x) for row in rows for x in row):
+            raise ValueError("means and stds must be finite numbers")
+        if not all(sd > 0 for row in self.stds.values() for sd in row):
+            raise ValueError("stds must be > 0")
+
 
 _SIGMA_FLOOR = 1e-9
 
@@ -337,12 +360,10 @@ def _bernoulli_log_likelihood(
 ) -> float:
     if not isinstance(vec, SparseVector):
         raise TypeError("bernoulli model expects a SparseVector")
-    log_p, log_q = model._log_tables[label]
-    total = 0.0
-    present = vec.entries
-    for i in range(model.vocab_size):
-        total += log_p[i] if i in present else log_q[i]
-    return total
+    base, delta = model._log_tables[label]
+    size = model.vocab_size
+    # fsum rounds once, whatever the order of its terms, so token order cannot matter
+    return base + math.fsum(delta[i] for i in vec.entries if 0 <= i < size)
 
 
 def _multinomial_log_likelihood(

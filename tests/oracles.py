@@ -1,13 +1,15 @@
 """Independent reference implementations used to validate model outputs.
 
 Everything here is computed from first principles with plain arithmetic
-(no log space, no shared code with the package) so that agreement with the
-production path is meaningful.
+and no shared code with the package, so that agreement with the production
+path is meaningful. Only the Bernoulli oracle works in log space, because a
+product over a whole vocabulary would underflow; it sums every term exactly
+with math.fsum.
 """
 
 import math
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 
 def categorical_posteriors_oracle(
@@ -79,3 +81,16 @@ def metrics_oracle(
             "recall": tp / true if true else 0.0,
         }
     return acc, per
+
+
+def bernoulli_log_likelihood_oracle(
+    doc_counts: Sequence[int], class_docs: int, present: Set[int]
+) -> float:
+    """Log P(document | class) under the multi-variate Bernoulli model,
+    summed term by term over the whole vocabulary: log p for each id present,
+    log(1 - p) for each id absent, with p = (df + 1) / (class_docs + 2)."""
+    terms = []
+    for i, df in enumerate(doc_counts):
+        p = (df + 1) / (class_docs + 2)
+        terms.append(math.log(p) if i in present else math.log(1 - p))
+    return math.fsum(terms)

@@ -332,3 +332,25 @@ def test_train_parses_row_cells_as_encode_does(tmp_path):
     rows = [[0.0, 1.0], [0.5, 1.5], [5.0, 5.0], [float("nan"), 6.0]]
     with pytest.raises(ValueError, match="finite"):
         train("gaussian", labels, rows)
+
+
+def test_bernoulli_round_trip_reproduces_log_scores_exactly(tmp_path, data_dir):
+    labels, texts = _training_data("bernoulli", data_dir, None)
+    archive = train("bernoulli", labels, texts)
+    save_archive(archive, tmp_path / "model.json")
+    loaded = load_archive(tmp_path / "model.json")
+    for text in texts + ["", "zzzz qqqq", "free prize free prize call now"]:
+        a = posterior_scores(archive.model, archive.encode(text))
+        b = posterior_scores(loaded.model, loaded.encode(text))
+        assert a.log_scores == b.log_scores and a.posteriors == b.posteriors
+
+
+def test_constant_feature_keeps_the_sigma_floor(tmp_path):
+    # the floor is 1e-9, so one unit from a constant feature is z = 1e9
+    rows = [[3.0, 0.0], [3.0, 1.0], [3.0, 5.0], [3.0, 6.0]]
+    save_archive(train("gaussian", ["a", "a", "b", "b"], rows), tmp_path / "m.json")
+    model = load_archive(tmp_path / "m.json").model
+    assert model.stds["a"][0] == model.stds["b"][0] == 1e-9
+    at_mean = posterior_scores(model, [3.0, 0.5]).log_scores["a"]
+    one_off = posterior_scores(model, [4.0, 0.5]).log_scores["a"]
+    assert at_mean - one_off == pytest.approx(0.5e18, rel=1e-9)

@@ -48,6 +48,22 @@ def _train(tmp_path, corpus_path, *extra):
     return model_path
 
 
+def _train_variant(tmp_path, corpus_path, toy_csv_path, variant):
+    if variant == "multinomial":
+        return _train(tmp_path, corpus_path)
+    numeric_path = tmp_path / "numeric.csv"
+    numeric_path.write_text("a,0,0\na,1,1\nb,5,5\nb,6,6\n", encoding="utf-8")
+    inputs = {
+        "bernoulli": corpus_path, "categorical": toy_csv_path, "gaussian": numeric_path
+    }
+    model_path = tmp_path / f"{variant}.json"
+    assert main(
+        ["train", "--input", str(inputs[variant]), "--model", str(model_path),
+         "--variant", variant]
+    ) == 0
+    return model_path
+
+
 class TestTrain:
     def test_writes_archive_and_summary(self, tmp_path, corpus_path, capsys):
         model_path = _train(tmp_path, corpus_path, "--alpha", "1.0")
@@ -215,24 +231,67 @@ class TestPredict:
         assert code == 1
         assert "JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("corrupt,message", [
-        (lambda doc: doc["priors"].update(counts=["7", "5"]), "malformed archive"),
-        (lambda doc: doc.update(priors="ham"), "malformed archive"),
-        (lambda doc: doc["parameters"].update(tf_sums=[1, 2]), "malformed archive"),
-        (lambda doc: doc["parameters"].pop("tf_sums"), "missing field 'tf_sums'"),
-        (lambda doc: doc["parameters"].update(vocab_size=3), "vocab_size"),
-        (lambda doc: doc["parameters"].update(alpha="1"), "alpha"),
-        (lambda doc: doc["parameters"].update(alpha=-1.0), "alpha"),
-        (lambda doc: doc["priors"].update(total=0), "total"),
-        (lambda doc: doc["priors"].update(total=doc["priors"]["total"] + 1), "total"),
-        (lambda doc: doc["parameters"].update(
+    @pytest.mark.parametrize("variant,corrupt,message", [
+        ("multinomial", lambda doc: doc["priors"].update(counts=["7", "5"]),
+         "malformed archive"),
+        ("multinomial", lambda doc: doc.update(priors="ham"), "malformed archive"),
+        ("multinomial", lambda doc: doc["parameters"].update(tf_sums=[1, 2]),
+         "malformed archive"),
+        ("multinomial", lambda doc: doc["parameters"].pop("tf_sums"),
+         "missing field 'tf_sums'"),
+        ("multinomial", lambda doc: doc["parameters"].update(vocab_size=3),
+         "vocab_size"),
+        ("multinomial", lambda doc: doc["parameters"].update(alpha="1"), "alpha"),
+        ("multinomial", lambda doc: doc["parameters"].update(alpha=-1.0), "alpha"),
+        ("multinomial", lambda doc: doc["priors"].update(total=0), "total"),
+        ("multinomial", lambda doc: doc["priors"].update(
+            total=doc["priors"]["total"] + 1), "total"),
+        ("multinomial", lambda doc: doc["parameters"].update(
             vocab_size=float(doc["parameters"]["vocab_size"])), "vocab_size"),
-        (lambda doc: doc["parameters"].update(alpha=float("inf")), "alpha"),
+        ("multinomial", lambda doc: doc["parameters"].update(alpha=float("inf")),
+         "alpha"),
+        # parameter tables whose labels are not the priors' labels
+        ("multinomial", lambda doc: doc["parameters"]["tf_sums"].pop("spam"),
+         "tf_sums"),
+        ("multinomial", lambda doc: doc["parameters"]["class_totals"].pop("ham"),
+         "class_totals"),
+        ("bernoulli", lambda doc: doc["parameters"]["doc_counts"].pop("spam"),
+         "doc_counts"),
+        ("bernoulli", lambda doc: doc["parameters"]["class_doc_counts"].pop("ham"),
+         "class_doc_counts"),
+        ("bernoulli", lambda doc: doc["parameters"]["doc_counts"].update(
+            zzz=doc["parameters"]["doc_counts"]["ham"]), "doc_counts"),
+        ("categorical", lambda doc: doc["parameters"]["value_counts"][1].pop("-"),
+         "value_counts"),
+        ("categorical", lambda doc: doc["parameters"]["class_counts"].pop("+"),
+         "class_counts"),
+        ("gaussian", lambda doc: doc["parameters"]["means"].pop("b"), "means"),
+        # Bernoulli counts outside 0..class_doc_counts
+        ("bernoulli", lambda doc: doc["parameters"]["doc_counts"]["spam"].__setitem__(
+            0, -5), "doc_counts"),
+        ("bernoulli", lambda doc: doc["parameters"]["doc_counts"]["spam"].__setitem__(
+            0, 500), "doc_counts"),
+        # Gaussian rows shorter than n_features, stds that are not > 0
+        ("gaussian", lambda doc: doc["parameters"]["means"]["a"].pop(), "n_features"),
+        ("gaussian", lambda doc: doc["parameters"]["stds"]["b"].pop(), "n_features"),
+        ("gaussian", lambda doc: doc["parameters"]["stds"]["a"].__setitem__(0, 0.0),
+         "stds"),
+        ("gaussian", lambda doc: doc["parameters"]["stds"]["a"].__setitem__(0, -1.0),
+         "stds"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
-            "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf"])
-    def test_malformed_archive(self, tmp_path, corpus_path, capsys, corrupt, message):
-        model_path = _train(tmp_path, corpus_path)
+            "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
+            "tf_sums-class-missing", "class_totals-class-missing",
+            "doc_counts-class-missing", "class_doc_counts-class-missing",
+            "doc_counts-extra-class", "value_counts-class-missing",
+            "class_counts-class-missing", "means-class-missing",
+            "doc_counts-negative", "doc_counts-above-class-docs",
+            "means-row-short", "stds-row-short", "std-zero", "std-negative"])
+    def test_malformed_archive(
+        self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
+    ):
+        # the archive is refused at load, before the query is parsed
+        model_path = _train_variant(tmp_path, corpus_path, toy_csv_path, variant)
         doc = json.loads(model_path.read_text(encoding="utf-8"))
         corrupt(doc)
         model_path.write_text(json.dumps(doc), encoding="utf-8")

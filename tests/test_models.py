@@ -8,12 +8,14 @@ brute-force oracle that never leaves plain probability space.
 
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbtext.models import (
+    BernoulliModel,
     ClassPriors,
     classify,
     fit_bernoulli,
@@ -27,7 +29,11 @@ from nbtext.models import (
     posterior_scores,
 )
 from nbtext.vectorize import BINARY, RAW_COUNT, SparseVector, build_vocabulary, vectorize
-from oracles import categorical_posteriors_oracle, gaussian_density_oracle
+from oracles import (
+    bernoulli_log_likelihood_oracle,
+    categorical_posteriors_oracle,
+    gaussian_density_oracle,
+)
 
 EXACT = 1e-12
 
@@ -506,3 +512,82 @@ class TestCategoricalOracle:
         assert set(got) == set(expected)
         for label in got:
             assert got[label] == pytest.approx(expected[label], abs=1e-12)
+
+
+def _bernoulli_oracle(model, vec, label):
+    return bernoulli_log_likelihood_oracle(
+        model.doc_counts[label], model.class_doc_counts[label], set(vec.entries)
+    )
+
+
+def _large_bernoulli_model(seed, vocab_size=30_000):
+    # skewed document frequencies, as a Zipf vocabulary gives
+    rng = random.Random(seed)
+    class_docs = {"ham": 17_300, "spam": 2_700}
+    doc_counts = {
+        label: [int(n * rng.random() ** 12) for _ in range(vocab_size)]
+        for label, n in class_docs.items()
+    }
+    priors = ClassPriors(
+        {label: n / 20_000 for label, n in class_docs.items()}, class_docs, 20_000
+    )
+    return BernoulliModel(priors, doc_counts, class_docs, vocab_size), rng
+
+
+class TestBernoulliScoring:
+    """The per-class base term plus present-token log-odds, checked against a
+    term-by-term sum over the whole vocabulary."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text_corpus(), st.lists(st.sampled_from(WORDS + ["oov"]), max_size=10))
+    def test_matches_oracle(self, corpus, query):
+        streams, labels = corpus
+        vocab = build_vocabulary(streams)
+        vecs = [vectorize(s, vocab, BINARY) for s in streams]
+        model = fit_bernoulli(vecs, labels, vocab)
+        vec = vectorize(query, vocab, BINARY)
+        for label in model.priors.labels:
+            assert log_likelihood(model, vec, label) == pytest.approx(
+                _bernoulli_oracle(model, vec, label), abs=1e-9
+            )
+
+    def test_large_vocabulary_matches_oracle(self):
+        model, rng = _large_bernoulli_model(seed=3)
+        for _ in range(10):
+            ids = rng.sample(range(model.vocab_size), rng.randint(0, 40))
+            vec = SparseVector(dict.fromkeys(ids, 1), len(ids))
+            for label in model.priors.labels:
+                assert log_likelihood(model, vec, label) == pytest.approx(
+                    _bernoulli_oracle(model, vec, label), abs=1e-9
+                )
+
+    def test_token_permutation_is_bit_identical(self):
+        model, rng = _large_bernoulli_model(seed=8)
+        for _ in range(20):
+            ids = rng.sample(range(model.vocab_size), 30)
+            first = posterior_scores(model, SparseVector(dict.fromkeys(ids, 1), 30))
+            for _ in range(5):
+                rng.shuffle(ids)
+                again = posterior_scores(model, SparseVector(dict.fromkeys(ids, 1), 30))
+                assert again.log_scores == first.log_scores
+
+    def test_ids_outside_the_vocabulary_add_nothing(self):
+        model, _ = _large_bernoulli_model(seed=1, vocab_size=50)
+        inside = SparseVector({0: 1, 7: 1, 49: 1}, 3)
+        outside = SparseVector({-1: 1, 0: 1, 7: 1, 49: 1, 50: 1, 10**6: 1, -50: 1}, 7)
+        for label in model.priors.labels:
+            assert log_likelihood(model, outside, label) == log_likelihood(
+                model, inside, label
+            )
+
+    @pytest.mark.parametrize("doc_counts,class_docs", [
+        ({"j": [-5, 0]}, {"j": 3}),
+        ({"j": [4, 0]}, {"j": 3}),
+        ({"j": [1.0, 0]}, {"j": 3}),
+        ({"j": [1, 0]}, {"j": -1}),
+        ({"j": [1, 0]}, {"j": 3.0}),
+    ], ids=["negative", "above-class-docs", "float", "negative-docs", "float-docs"])
+    def test_counts_out_of_range_rejected(self, doc_counts, class_docs):
+        priors = ClassPriors({"j": 1.0}, {"j": 3}, 3)
+        with pytest.raises(ValueError, match="doc_counts"):
+            BernoulliModel(priors, doc_counts, class_docs, 2)
