@@ -294,7 +294,8 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
         spec = _variant_spec(variant)
         priors = _priors_from_payload(doc["priors"])
         model = _model_from_payload(spec.model_class, doc["parameters"], priors)
-        spec.check(None, getattr(model, "alpha", None))  # train's alpha rule
+        # train's weighting and alpha rules
+        spec.check(doc.get("weighting"), getattr(model, "alpha", None))
         pipeline_config = (
             PipelineConfig(**doc["pipeline"]) if doc.get("pipeline") else None
         )

@@ -185,11 +185,11 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     archive = load_archive(args.model)
-    if args.text is not None:
-        lines = [args.text]
-    else:
-        lines = [ln.rstrip("\n") for ln in sys.stdin]
+    # stdin is read lazily and each answer flushed, so a line is answered
+    # as soon as it arrives
+    lines = [args.text] if args.text is not None else sys.stdin
     for line in lines:
+        line = line.rstrip("\n")
         if not line.strip():
             continue
         report = posterior_scores(archive.model, archive.encode(line))
@@ -202,9 +202,9 @@ def cmd_predict(args) -> int:
             probs = " ".join(
                 f"{label}={p:.6f}" for label, p in sorted(report.posteriors.items())
             )
-            print(f"{report.predicted}\t{probs}")
+            print(f"{report.predicted}\t{probs}", flush=True)
         else:
-            print(report.predicted)
+            print(report.predicted, flush=True)
     return 0
 
 

@@ -100,6 +100,20 @@ class CategoricalModel:
     class_counts: Dict[str, int]
     alpha: float
 
+    def __post_init__(self):
+        for label, n in self.class_counts.items():
+            if type(n) is not int or n < 0:
+                raise ValueError(f"class_counts[{label!r}] must be an int >= 0")
+        for i, table in enumerate(self.value_counts):
+            for label, counts in table.items():
+                values = counts.values()
+                if not set(map(type, values)) <= {int} or min(values, default=0) < 0:
+                    raise ValueError(f"value_counts[{i}][{label!r}] must hold ints >= 0")
+                if sum(values) != self.class_counts.get(label):
+                    raise ValueError(
+                        f"value_counts[{i}][{label!r}] must sum to class_counts[{label!r}]"
+                    )
+
     @property
     def n_positions(self) -> int:
         return len(self.value_counts)
@@ -237,6 +251,28 @@ class MultinomialModel:
     class_totals: Dict[str, float]
     vocab_size: int
     alpha: float
+
+    def __post_init__(self):
+        if type(self.vocab_size) is not int or self.vocab_size < 0:
+            raise ValueError("vocab_size must be an int >= 0")
+        for label, sums in self.tf_sums.items():
+            if sums and not (0 <= min(sums) and max(sums) < self.vocab_size):
+                raise ValueError(f"tf_sums[{label!r}] ids must lie in range(vocab_size)")
+            try:
+                exact = math.fsum(sums.values())
+            except (OverflowError, ValueError):  # past the float range, or inf - inf
+                exact = math.nan
+            if not math.isfinite(exact) or min(sums.values(), default=0) < 0:
+                raise ValueError(f"tf_sums[{label!r}] must hold finite weights >= 0")
+            # training adds the totals with += in document order, so they
+            # match the exact sum only to rounding
+            total = self.class_totals.get(label)
+            if type(total) not in (int, float) or not math.isclose(
+                total, exact, rel_tol=1e-9
+            ):
+                raise ValueError(
+                    f"class_totals[{label!r}] must be the sum of tf_sums[{label!r}]"
+                )
 
     def conditional(self, label: str, token_id: int) -> float:
         """Smoothed P(token | class) per the additive estimator."""

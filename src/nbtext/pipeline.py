@@ -37,6 +37,13 @@ class PipelineConfig:
     ngram_size: int = 1
 
     def __post_init__(self):
+        for name in ("lowercase", "strip_punctuation", "stemming"):
+            if type(getattr(self, name)) is not bool:
+                raise ValueError(f"{name} must be true or false")
+        if type(self.ngram_size) is not int:
+            raise ValueError("ngram_size must be an int")
+        if self.frequency_top_n is not None and type(self.frequency_top_n) is not int:
+            raise ValueError("frequency_top_n must be an int or null")
         if self.stop_word_mode not in STOP_WORD_MODES:
             raise ValueError(f"unknown stop_word_mode: {self.stop_word_mode!r}")
         if self.stop_word_mode == "frequency":
@@ -52,14 +59,19 @@ class StopList:
     origin: str = "dictionary"
 
     def __post_init__(self):
-        if any(not w for w in self.words):
-            raise ValueError("stop list must not contain empty words")
+        if not all(type(w) is str and w for w in self.words):
+            raise ValueError("stop words must be non-empty strings")
 
     def __contains__(self, token):
         return token in self.words
 
 
 def _strip_boundary_punctuation(token: str) -> str:
+    # no code point is both alphanumeric and punctuation, so a token with an
+    # alphanumeric first and last character has nothing to strip; tokens come
+    # from str.split() and are never empty
+    if token[0].isalnum() and token[-1].isalnum():
+        return token
     start, end = 0, len(token)
     while start < end and unicodedata.category(token[start]).startswith("P"):
         start += 1

@@ -9,6 +9,8 @@ Stems can be non-words ("thus" -> "thu") and, for the bare word "s", the
 empty string; callers that feed token streams should drop empty stems.
 """
 
+import functools
+
 __all__ = ["porter_stem"]
 
 
@@ -266,11 +268,15 @@ class _Stemmer:
         return self.b[: self.k + 1]
 
 
+@functools.lru_cache(maxsize=65536)
 def porter_stem(word: str) -> str:
     """Return the Porter stem of ``word``.
 
     Only lowercase ASCII alphabetic words are stemmed; anything else
     (mixed case, digits, punctuation, non-ASCII) is returned unchanged.
+    Stems are memoized in a least-recently-used cache of 65,536 words, so a
+    long input stream cannot grow it without bound; ``porter_stem.__wrapped__``
+    is the uncached stemmer.
     """
     if not word or not word.isascii() or not word.isalpha() or not word.islower():
         return word

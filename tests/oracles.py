@@ -8,6 +8,7 @@ with math.fsum.
 """
 
 import math
+import unicodedata
 from collections import Counter
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -94,3 +95,14 @@ def bernoulli_log_likelihood_oracle(
         p = (df + 1) / (class_docs + 2)
         terms.append(math.log(p) if i in present else math.log(1 - p))
     return math.fsum(terms)
+
+
+def strip_boundary_punctuation_oracle(token: str) -> str:
+    """``token`` without its leading and trailing Unicode punctuation (any
+    ``P*`` category), looked up character by character with no shortcut."""
+    start, end = 0, len(token)
+    while start < end and unicodedata.category(token[start]).startswith("P"):
+        start += 1
+    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+        end -= 1
+    return token[start:end]

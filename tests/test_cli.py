@@ -1,7 +1,12 @@
 """End-to-end command-line behavior: flags, exit codes, determinism."""
 
 import json
+import os
+import select
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +51,10 @@ def _train(tmp_path, corpus_path, *extra):
     )
     assert code == 0
     return model_path
+
+
+def _set_first(table, value):
+    table[next(iter(table))] = value
 
 
 def _train_variant(tmp_path, corpus_path, toy_csv_path, variant):
@@ -169,6 +178,28 @@ class TestTrain:
 
 
 class TestPredict:
+    def test_stdin_line_answered_before_eof(self, tmp_path, corpus_path):
+        model_path = _train(tmp_path, corpus_path)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "nbtext.cli", "predict", "--model", str(model_path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        ) as proc:
+            try:
+                proc.stdin.write("WINNER! Claim your free cash prize now\n")
+                proc.stdin.flush()
+                # the answer must come while stdin is still open; the timeout
+                # turns a wait for EOF into a failure instead of a hang
+                ready, _, _ = select.select([proc.stdout], [], [], 60)
+                assert ready, "no answer before stdin was closed"
+                assert proc.stdout.readline() == "spam\n"
+                proc.stdin.close()
+                assert proc.wait(timeout=60) == 0
+            finally:
+                proc.kill()
+
     def test_single_argument(self, tmp_path, corpus_path, capsys):
         model_path = _train(tmp_path, corpus_path)
         capsys.readouterr()
@@ -278,6 +309,37 @@ class TestPredict:
          "stds"),
         ("gaussian", lambda doc: doc["parameters"]["stds"]["a"].__setitem__(0, -1.0),
          "stds"),
+        # multinomial weights that are negative, not finite or out of range,
+        # and totals that are not the sum of the weights
+        ("multinomial", lambda doc: doc["parameters"]["class_totals"].update(spam=-5),
+         "class_totals"),
+        ("multinomial", lambda doc: doc["parameters"]["class_totals"].update(
+            spam=doc["parameters"]["class_totals"]["spam"] * 10), "class_totals"),
+        ("multinomial", lambda doc: doc["parameters"]["class_totals"].update(spam="5"),
+         "class_totals"),
+        ("multinomial", lambda doc: _set_first(doc["parameters"]["tf_sums"]["spam"], -1.0),
+         "tf_sums"),
+        ("multinomial", lambda doc: _set_first(
+            doc["parameters"]["tf_sums"]["spam"], float("nan")), "tf_sums"),
+        ("multinomial", lambda doc: doc["parameters"]["tf_sums"]["spam"].update(
+            {str(doc["parameters"]["vocab_size"]): 0.0}), "range(vocab_size)"),
+        ("multinomial", lambda doc: doc["parameters"]["tf_sums"]["spam"].update(
+            {"0": 1e308, "1": 1e308}), "tf_sums"),
+        # categorical counts that are negative or do not sum to class_counts
+        ("categorical", lambda doc: doc["parameters"]["value_counts"][0]["+"].update(
+            blue=-5), "value_counts"),
+        ("categorical", lambda doc: doc["parameters"]["class_counts"].update(
+            {lab: n * 10 for lab, n in doc["parameters"]["class_counts"].items()}),
+         "class_counts"),
+        # a weighting the variant does not take, mistyped pipeline settings
+        # and stop words
+        ("multinomial", lambda doc: doc.update(weighting="binary"), "weighting"),
+        ("multinomial", lambda doc: doc["pipeline"].update(stemming="no"), "stemming"),
+        ("multinomial", lambda doc: doc["pipeline"].update(ngram_size=2.0),
+         "ngram_size"),
+        ("multinomial", lambda doc: doc["pipeline"].update(lowercase=1), "lowercase"),
+        ("multinomial", lambda doc: doc.update(
+            stop_words={"origin": "dictionary", "words": ["the", 7]}), "stop words"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
             "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
@@ -286,7 +348,12 @@ class TestPredict:
             "doc_counts-extra-class", "value_counts-class-missing",
             "class_counts-class-missing", "means-class-missing",
             "doc_counts-negative", "doc_counts-above-class-docs",
-            "means-row-short", "stds-row-short", "std-zero", "std-negative"])
+            "means-row-short", "stds-row-short", "std-zero", "std-negative",
+            "class_totals-negative", "class_totals-scaled", "class_totals-string",
+            "tf_sums-negative", "tf_sums-nan", "tf_sums-id-out-of-range",
+            "tf_sums-sum-overflows", "value_counts-negative", "class_counts-scaled",
+            "weighting-not-taken", "stemming-string", "ngram_size-float",
+            "lowercase-int", "stop-word-not-string"])
     def test_malformed_archive(
         self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
     ):

@@ -1,6 +1,8 @@
 """Tokenization, stop words, n-grams, and the composed pipeline."""
 
 import string
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from nbtext.pipeline import (
     run_pipeline,
     tokenize,
 )
+from oracles import strip_boundary_punctuation_oracle
 
 DEFAULTS = PipelineConfig()
 
@@ -69,6 +72,39 @@ class TestTokenize:
     def test_whitespace_runs_are_equivalent(self, tokens, width):
         wide = (" " * width).join(tokens)
         assert tokenize(wide, DEFAULTS) == tokenize(" ".join(tokens), DEFAULTS)
+
+    def test_no_code_point_is_alphanumeric_punctuation(self):
+        # tokenize returns a token whose first and last characters are
+        # alphanumeric without looking for boundary punctuation
+        both = [
+            hex(c) for c in range(sys.maxunicode + 1)
+            if chr(c).isalnum() and unicodedata.category(chr(c)).startswith("P")
+        ]
+        assert both == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.sampled_from(string.ascii_letters + string.digits + string.punctuation),
+                st.sampled_from(" \t\n«»¿¡—–…“”‘’·•§¶†‡€£©®°±×÷"),
+                st.characters(
+                    whitelist_categories=("L", "N", "P", "S", "Zs"),
+                    max_codepoint=0x1FFFF,
+                ),
+            ),
+            max_size=60,
+        ),
+        st.booleans(),
+    )
+    def test_matches_character_by_character_oracle(self, text, lowercase):
+        config = PipelineConfig(lowercase=lowercase)
+        expected = []
+        for raw in text.split():
+            tok = strip_boundary_punctuation_oracle(raw)
+            if tok:
+                expected.append(tok.lower() if lowercase else tok)
+        assert tokenize(text, config) == expected
 
 
 class TestStopWords:

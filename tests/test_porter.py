@@ -149,3 +149,24 @@ def test_matches_oracle_on_suffixed_words(base, suffix):
 @given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=20))
 def test_stem_never_longer_than_word(word):
     assert len(porter_stem(word)) <= len(word)
+
+
+def test_cached_stems_match_the_uncached_stemmer(data_dir):
+    for word, stem in load_reference(data_dir):
+        for w in (word, stem):
+            assert porter_stem(w) == porter_stem.__wrapped__(w), w
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=20),
+    st.text(max_size=12),
+))
+def test_cache_is_transparent(word):
+    # a second call is answered from the cache
+    assert porter_stem(word) == porter_stem.__wrapped__(word)
+    assert porter_stem(word) == porter_stem.__wrapped__(word)
+
+
+def test_cache_is_bounded():
+    assert porter_stem.cache_info().maxsize == 65536

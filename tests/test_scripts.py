@@ -1,5 +1,6 @@
 """The scripts run against the bundled sample corpus."""
 
+import json
 import os
 import subprocess
 import sys
@@ -99,3 +100,6 @@ def test_traced_cli_matches_untraced(tmp_path, command):
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
     assert (tmp_path / "spans.json").exists()
+    # the archive stems, so the tracer must have caught porter_stem
+    counts = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))["counts"]
+    assert counts["porter.calls"] > 0
