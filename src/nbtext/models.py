@@ -38,6 +38,22 @@ __all__ = [
 _PRIOR_SUM_TOL = 1e-12
 
 
+class _Row(list):
+    """A dense per-id table read like a dict: ids outside it give the default."""
+
+    def get(self, i: int, default: float) -> float:
+        return self[i] if 0 <= i < len(self) else default
+
+
+# Text models are linear (McCallum & Nigam 1998): log P(x | c) = base_c + sum_i
+# w_i * theta_c.get(i, unseen_c) over the ids in x; tables cost O(entries) once.
+LinearForm = Tuple[float, Union[Dict[int, float], _Row], float]
+
+
+def _log(p: float) -> float:
+    return math.log(p) if p > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class ClassPriors:
     """Per-class prior probabilities, with sample counts kept alongside
@@ -169,11 +185,6 @@ class BernoulliModel:
     doc_counts[class][i] is the number of class documents containing token
     id i; class_doc_counts[class] is the number of documents in the class.
     The +1/+2 correction keeps every estimate strictly inside (0, 1).
-
-    Scoring is factored as in McCallum & Nigam (1998): per class, a base term
-    sum_i log(1 - p_i) plus, for each token present, log p_i - log(1 - p_i).
-    The tables cost O(V) per class once per model; each document then costs
-    O(tokens present) per class.
     """
 
     priors: ClassPriors
@@ -202,8 +213,8 @@ class BernoulliModel:
     conditional = estimate
 
     @cached_property
-    def _log_tables(self) -> Dict[str, Tuple[float, List[float]]]:
-        # per class: (sum_i log(1 - p_i), [log p_i - log(1 - p_i) per id]);
+    def linear_form(self) -> Dict[str, LinearForm]:
+        """Per class: (sum_i log(1 - p_i), [log p_i - log(1 - p_i) per id], 0.0)."""
         # p_i depends only on df_i, so the logs are taken once per distinct count
         out = {}
         for label in self.priors.labels:
@@ -211,7 +222,7 @@ class BernoulliModel:
             den = self.class_doc_counts[label] + 2
             log_q = {n: math.log((den - n - 1) / den) for n in set(df)}
             delta = {n: math.log((n + 1) / den) - q for n, q in log_q.items()}
-            out[label] = (math.fsum(map(log_q.get, df)), list(map(delta.get, df)))
+            out[label] = (math.fsum(map(log_q.get, df)), _Row(map(delta.get, df)), 0.0)
         return out
 
 
@@ -275,11 +286,22 @@ class MultinomialModel:
                 )
 
     def conditional(self, label: str, token_id: int) -> float:
-        """Smoothed P(token | class) per the additive estimator."""
-        tf = self.tf_sums[label].get(token_id, 0.0)
-        return (tf + self.alpha) / (
-            self.class_totals[label] + self.alpha * self.vocab_size
-        )
+        """Smoothed P(token | class) per the additive estimator; 0/0 gives 0."""
+        return self._estimate(label, self.tf_sums[label].get(token_id, 0.0))
+
+    def _estimate(self, label: str, tf: float) -> float:
+        den = self.class_totals[label] + self.alpha * self.vocab_size
+        return (tf + self.alpha) / den if den else 0.0
+
+    @cached_property
+    def linear_form(self) -> Dict[str, LinearForm]:
+        """Per class: (0.0, {seen id: log P(id | class)}, log P(unseen id | class))."""
+        out = {}
+        for label in self.priors.labels:
+            sums = self.tf_sums[label]
+            log_p = {tf: _log(self._estimate(label, tf)) for tf in {0.0, *sums.values()}}
+            out[label] = (0.0, dict(zip(sums, map(log_p.get, sums.values()))), log_p[0.0])
+        return out
 
 
 def fit_multinomial(
@@ -382,39 +404,17 @@ def _categorical_log_likelihood(
         raise ValueError(
             f"expected {model.n_positions} feature values, got {len(values)}"
         )
-    total = 0.0
-    for i, value in enumerate(values):
-        p = model.conditional(i, label, value)
-        if p == 0.0:
-            return -math.inf
-        total += math.log(p)
-    return total
+    return sum(_log(model.conditional(i, label, value)) for i, value in enumerate(values))
 
 
-def _bernoulli_log_likelihood(
-    model: BernoulliModel, vec: SparseVector, label: str
+def _text_log_likelihood(
+    model: Union[BernoulliModel, MultinomialModel], vec: SparseVector, label: str
 ) -> float:
     if not isinstance(vec, SparseVector):
-        raise TypeError("bernoulli model expects a SparseVector")
-    base, delta = model._log_tables[label]
-    size = model.vocab_size
+        raise TypeError("text model expects a SparseVector")
+    base, theta, unseen = model.linear_form[label]
     # fsum rounds once, whatever the order of its terms, so token order cannot matter
-    return base + math.fsum(delta[i] for i in vec.entries if 0 <= i < size)
-
-
-def _multinomial_log_likelihood(
-    model: MultinomialModel, vec: SparseVector, label: str
-) -> float:
-    if not isinstance(vec, SparseVector):
-        raise TypeError("multinomial model expects a SparseVector")
-    total = 0.0
-    # fixed summation order keeps scores exactly invariant to token order
-    for token_id in sorted(vec.entries):
-        p = model.conditional(label, token_id)
-        if p == 0.0:
-            return -math.inf
-        total += vec.entries[token_id] * math.log(p)
-    return total
+    return base + math.fsum(w * theta.get(i, unseen) for i, w in vec.entries.items())
 
 
 def _gaussian_log_likelihood(
@@ -431,8 +431,8 @@ def _gaussian_log_likelihood(
 
 _LIKELIHOODS = {
     CategoricalModel: _categorical_log_likelihood,
-    BernoulliModel: _bernoulli_log_likelihood,
-    MultinomialModel: _multinomial_log_likelihood,
+    BernoulliModel: _text_log_likelihood,
+    MultinomialModel: _text_log_likelihood,
     GaussianModel: _gaussian_log_likelihood,
 }
 

@@ -2,9 +2,9 @@
 
 Everything here is computed from first principles with plain arithmetic
 and no shared code with the package, so that agreement with the production
-path is meaningful. Only the Bernoulli oracle works in log space, because a
-product over a whole vocabulary would underflow; it sums every term exactly
-with math.fsum.
+path is meaningful. The Bernoulli and multinomial likelihood oracles work
+in log space, because a product over a whole vocabulary or a long document
+would underflow; they sum every term exactly with math.fsum.
 """
 
 import math
@@ -94,6 +94,34 @@ def bernoulli_log_likelihood_oracle(
     for i, df in enumerate(doc_counts):
         p = (df + 1) / (class_docs + 2)
         terms.append(math.log(p) if i in present else math.log(1 - p))
+    return math.fsum(terms)
+
+
+def multinomial_log_likelihood_oracle(
+    weight_rows: Sequence[Sequence[float]],
+    labels: Sequence[str],
+    alpha: float,
+    query: Sequence[float],
+    label: str,
+) -> float:
+    """Log P(document | class) under the multinomial model, summed term by
+    term over a dense query row: w * log p for each id of weight w > 0, with
+    p = (class weight + alpha) / (class total + alpha * V). A zero p, or a
+    class with neither weight nor smoothing mass, makes the document -inf."""
+    v = len(query)
+    sums = [0.0] * v
+    for row, lab in zip(weight_rows, labels):
+        if lab == label:
+            for i, w in enumerate(row):
+                sums[i] += w
+    den = math.fsum(sums) + alpha * v
+    terms = []
+    for i, w in enumerate(query):
+        if w > 0:
+            p = (sums[i] + alpha) / den if den > 0 else 0.0
+            if p == 0.0:
+                return -math.inf
+            terms.append(w * math.log(p))
     return math.fsum(terms)
 
 

@@ -334,9 +334,15 @@ def test_train_parses_row_cells_as_encode_does(tmp_path):
         train("gaussian", labels, rows)
 
 
-def test_bernoulli_round_trip_reproduces_log_scores_exactly(tmp_path, data_dir):
-    labels, texts = _training_data("bernoulli", data_dir, None)
-    archive = train("bernoulli", labels, texts)
+@pytest.mark.parametrize("variant,weighting", [
+    ("bernoulli", BINARY),
+    ("multinomial", TFIDF),
+])
+def test_bernoulli_round_trip_reproduces_log_scores_exactly(
+    tmp_path, data_dir, variant, weighting
+):
+    labels, texts = _training_data(variant, data_dir, None)
+    archive = train(variant, labels, texts, weighting=weighting)
     save_archive(archive, tmp_path / "model.json")
     loaded = load_archive(tmp_path / "model.json")
     for text in texts + ["", "zzzz qqqq", "free prize free prize call now"]:

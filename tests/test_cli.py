@@ -255,6 +255,29 @@ class TestPredict:
         captured = capsys.readouterr()
         assert captured.out.strip() == "ham"
 
+    def test_class_emptied_by_the_pipeline_at_alpha_zero(self, tmp_path):
+        # spam's documents are empty after the pipeline, so its estimates are 0/0
+        corpus = tmp_path / "emptied.tsv"
+        corpus.write_text(
+            "ham\thello there friend\nham\tsee you soon\nspam\t!!! ???\n",
+            encoding="utf-8",
+        )
+        model_path = _train(tmp_path, corpus, "--alpha", "0")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for args in (["predict", "hello friend"], ["inspect", "--top-k", "2"]):
+            res = subprocess.run(
+                [sys.executable, "-m", "nbtext.cli", args[0], "--model", str(model_path),
+                 *args[1:]],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert res.returncode == 0 and "Traceback" not in res.stderr, res.stderr
+            outputs.append(res.stdout)
+        assert outputs[0] == "ham\n"
+        assert "  spam\tfriend\t0\n" in outputs[1]
+
     def test_corrupt_archive(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{]", encoding="utf-8")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from nbtext.models import (
     BernoulliModel,
     ClassPriors,
+    MultinomialModel,
     classify,
     fit_bernoulli,
     fit_categorical,
@@ -28,11 +29,20 @@ from nbtext.models import (
     normalized_posteriors,
     posterior_scores,
 )
-from nbtext.vectorize import BINARY, RAW_COUNT, SparseVector, build_vocabulary, vectorize
+from nbtext.vectorize import (
+    BINARY,
+    NORMALIZED_TF,
+    RAW_COUNT,
+    TFIDF,
+    SparseVector,
+    build_vocabulary,
+    vectorize,
+)
 from oracles import (
     bernoulli_log_likelihood_oracle,
     categorical_posteriors_oracle,
     gaussian_density_oracle,
+    multinomial_log_likelihood_oracle,
 )
 
 EXACT = 1e-12
@@ -534,6 +544,21 @@ def _large_bernoulli_model(seed, vocab_size=30_000):
     return BernoulliModel(priors, doc_counts, class_docs, vocab_size), rng
 
 
+def _large_multinomial_model(seed, vocab_size=30_000):
+    # fractional weights, as normalized tf and tf-idf give, on a share of the ids
+    rng = random.Random(seed)
+    class_docs = {"ham": 17_300, "spam": 2_700}
+    tf_sums = {
+        label: {i: 50 * rng.random() ** 6 for i in rng.sample(range(vocab_size), n // 2)}
+        for label, n in class_docs.items()
+    }
+    totals = {label: math.fsum(sums.values()) for label, sums in tf_sums.items()}
+    priors = ClassPriors(
+        {label: n / 20_000 for label, n in class_docs.items()}, class_docs, 20_000
+    )
+    return MultinomialModel(priors, tf_sums, totals, vocab_size, 0.01), rng
+
+
 class TestBernoulliScoring:
     """The per-class base term plus present-token log-odds, checked against a
     term-by-term sum over the whole vocabulary."""
@@ -561,8 +586,13 @@ class TestBernoulliScoring:
                     _bernoulli_oracle(model, vec, label), abs=1e-9
                 )
 
-    def test_token_permutation_is_bit_identical(self):
-        model, rng = _large_bernoulli_model(seed=8)
+    @pytest.mark.parametrize(
+        "make_model",
+        [_large_bernoulli_model, _large_multinomial_model],
+        ids=["bernoulli", "multinomial"],
+    )
+    def test_token_permutation_is_bit_identical(self, make_model):
+        model, rng = make_model(seed=8)
         for _ in range(20):
             ids = rng.sample(range(model.vocab_size), 30)
             first = posterior_scores(model, SparseVector(dict.fromkeys(ids, 1), 30))
@@ -591,3 +621,63 @@ class TestBernoulliScoring:
         priors = ClassPriors({"j": 1.0}, {"j": 3}, 3)
         with pytest.raises(ValueError, match="doc_counts"):
             BernoulliModel(priors, doc_counts, class_docs, 2)
+
+
+class TestMultinomialScoring:
+    """The per-class table of log estimates, checked against a term-by-term
+    sum over dense count rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text_corpus(),
+        st.lists(st.sampled_from(WORDS + ["oov"]), max_size=10),
+        st.sampled_from([RAW_COUNT, NORMALIZED_TF, TFIDF]),
+        st.sampled_from([0.0, 0.01, 1.0]),
+    )
+    def test_matches_oracle(self, corpus, query, mode, alpha):
+        streams, labels = corpus
+        vocab = build_vocabulary(streams)
+        vecs = [vectorize(s, vocab, mode) for s in streams]
+        model = fit_multinomial(vecs, labels, vocab, alpha)
+        vec = vectorize(query, vocab, mode)
+
+        def dense(v):
+            return [v.entries.get(i, 0.0) for i in range(len(vocab))]
+
+        rows = [dense(v) for v in vecs]
+        for label in model.priors.labels:
+            expected = multinomial_log_likelihood_oracle(
+                rows, labels, alpha, dense(vec), label
+            )
+            assert log_likelihood(model, vec, label) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_ids_outside_the_vocabulary_score_as_unseen(self, alpha):
+        vocab = build_vocabulary([["a", "b", "c"]])
+        model = fit_multinomial([SparseVector({0: 3, 1: 1}, 4)], ["j"], vocab, alpha)
+        den = 4 + 3 * alpha
+        for i in (2, 3, 10**6, -1):  # 2 is in the vocabulary but never seen
+            got = log_likelihood(model, SparseVector({0: 1, i: 2.5}, 4), "j")
+            if alpha == 0:
+                assert got == -math.inf
+            else:
+                expected = math.log((3 + alpha) / den) + 2.5 * math.log(alpha / den)
+                assert got == pytest.approx(expected, abs=EXACT)
+
+    def test_stored_zero_weight_scores_minus_inf_at_alpha_zero(self):
+        priors = ClassPriors({"j": 1.0}, {"j": 2}, 2)
+        model = MultinomialModel(priors, {"j": {0: 2.0, 1: 0.0}}, {"j": 2.0}, 2, 0.0)
+        assert model.conditional("j", 1) == 0.0
+        assert log_likelihood(model, SparseVector({1: 0.5}, 1), "j") == -math.inf
+        assert log_likelihood(model, SparseVector({0: 3}, 3), "j") == 0.0
+
+    def test_class_without_weight_or_smoothing_scores_minus_inf(self):
+        # total + alpha * V is 0, so every estimate is 0/0, taken as zero
+        vocab = build_vocabulary([["a", "b"], []])
+        vecs = [SparseVector({0: 1, 1: 1}, 2), SparseVector({}, 0)]
+        model = fit_multinomial(vecs, ["ham", "spam"], vocab, alpha=0.0)
+        assert model.conditional("spam", 0) == 0.0
+        assert log_likelihood(model, SparseVector({0: 1}, 1), "spam") == -math.inf
+        assert log_likelihood(model, SparseVector({}, 0), "spam") == 0.0
+        report = posterior_scores(model, SparseVector({0: 1}, 1))
+        assert report.predicted == "ham" and report.posteriors["ham"] == 1.0
