@@ -413,8 +413,13 @@ def _text_log_likelihood(
     if not isinstance(vec, SparseVector):
         raise TypeError("text model expects a SparseVector")
     base, theta, unseen = model.linear_form[label]
+    terms = [w * theta.get(i, unseen) for i, w in vec.entries.items()]
     # fsum rounds once, whatever the order of its terms, so token order cannot matter
-    return base + math.fsum(w * theta.get(i, unseen) for i, w in vec.entries.items())
+    try:
+        return base + math.fsum(terms)
+    except OverflowError:
+        # finite terms past the float range; a multinomial's are all <= 0, so -inf
+        return base + sum(terms)
 
 
 def _gaussian_log_likelihood(

@@ -5,267 +5,116 @@ the later "departure" amendments found in many ports: step 2 maps -abli to
 -able (not -bli to -ble), there is no -logi rule, and short words are not
 exempted from stemming.
 
+Each step works on the word as a plain string. The rules' conditions read
+the word's consonant/vowel form, one ``c`` or ``v`` per letter: Porter's
+measure m of a stem is the number of ``vc`` pairs in its form, and the
+double-consonant and cvc tests read the form's last letters. Steps 2, 3 and
+4 are ordered (suffix, replacement) tables in the published order; the
+first suffix that ends the word decides the step, and it is replaced only
+when the stem left of it has a large enough measure.
+
 Stems can be non-words ("thus" -> "thu") and, for the bare word "s", the
 empty string; callers that feed token streams should drop empty stems.
 """
 
 import functools
+import string
 
 __all__ = ["porter_stem"]
 
+# every letter but y, whose class depends on the letter before it
+_CV = str.maketrans(
+    {ch: "v" if ch in "aeiou" else "c" for ch in string.ascii_lowercase if ch != "y"}
+)
 
-class _Stemmer:
-    """One-shot stemming buffer; mirrors the classic array-based layout.
+_STEP2 = (
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
+    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
+    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
+    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+)
+_STEP3 = (
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+    ("ical", "ic"), ("ful", ""), ("ness", ""),
+)
+_STEP4 = tuple((suffix, "") for suffix in (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment",
+    "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+))
 
-    ``b`` holds the word, ``k`` the index of its last live character and
-    ``j`` the end of the stem left of the current suffix candidate.
-    """
+# (rules, all their suffixes for an early reject, the measure a stem must exceed)
+_TABLE_STEPS = tuple(
+    (rules, tuple(suffix for suffix, _ in rules), min_measure)
+    for rules, min_measure in ((_STEP2, 0), (_STEP3, 0), (_STEP4, 1))
+)
 
-    def __init__(self, word):
-        self.b = word
-        self.k = len(word) - 1
-        self.j = 0
 
-    def _cons(self, i):
-        ch = self.b[i]
-        if ch in "aeiou":
-            return False
-        if ch == "y":
-            # y is a consonant when word-initial or after a vowel
-            return i == 0 or not self._cons(i - 1)
-        return True
+def _form(word):
+    """One ``c`` or ``v`` per letter of ``word``."""
+    form = word.translate(_CV)
+    if "y" not in form:
+        return form
+    # y is a consonant at the start of a word or after a vowel, else a vowel
+    letters = []
+    prev = "v"
+    for ch in form:
+        prev = ("c" if prev == "v" else "v") if ch == "y" else ch
+        letters.append(prev)
+    return "".join(letters)
 
-    def _m(self):
-        """Number of vowel-consonant sequences in b[0..j]."""
-        i = 0
-        while True:
-            if i > self.j:
-                return 0
-            if not self._cons(i):
-                break
-            i += 1
-        i += 1
-        n = 0
-        while True:
-            while True:
-                if i > self.j:
-                    return n
-                if self._cons(i):
-                    break
-                i += 1
-            i += 1
-            n += 1
-            while True:
-                if i > self.j:
-                    return n
-                if not self._cons(i):
-                    break
-                i += 1
-            i += 1
 
-    def _vowel_in_stem(self):
-        return any(not self._cons(i) for i in range(self.j + 1))
+def _measure(stem):
+    """Porter's m: the number of vowel-consonant sequences in ``stem``."""
+    return _form(stem).count("vc")
 
-    def _double_consonant(self, j):
-        return j > 0 and self.b[j] == self.b[j - 1] and self._cons(j)
 
-    def _cvc(self, i):
-        # consonant-vowel-consonant ending where the final consonant is
-        # not w, x or y; used to restore a trailing e (hop -> hope)
-        if i < 2 or not self._cons(i) or self._cons(i - 1) or not self._cons(i - 2):
-            return False
-        return self.b[i] not in "wxy"
+def _ends_cvc(stem, form):
+    """Consonant-vowel-consonant ending whose last consonant is not w, x or
+    y; such a stem takes back a trailing e (hop -> hope)."""
+    return form.endswith("cvc") and stem[-1] not in "wxy"
 
-    def _ends(self, s):
-        length = len(s)
-        if length > self.k + 1:
-            return False
-        if self.b[self.k - length + 1 : self.k + 1] != s:
-            return False
-        self.j = self.k - length
-        return True
 
-    def _set_to(self, s):
-        self.b = self.b[: self.j + 1] + s
-        self.k = len(self.b) - 1
+def _step1(word):
+    # 1a: plurals; -sses and -ies both lose their last two letters
+    if word.endswith(("sses", "ies")):
+        word = word[:-2]
+    elif word.endswith("s") and not word.endswith("ss"):
+        word = word[:-1]
+    # 1b: -eed, then -ed and -ing with their clean-ups
+    if word.endswith("eed"):
+        if _measure(word[:-3]) > 0:
+            word = word[:-1]
+    elif word.endswith(("ed", "ing")):
+        stem = word[:-2] if word.endswith("ed") else word[:-3]
+        form = _form(stem)
+        if "v" in form:
+            word = stem
+            if stem.endswith(("at", "bl", "iz")):
+                word = stem + "e"
+            elif len(stem) > 1 and stem[-1] == stem[-2] and form[-1] == "c":
+                if stem[-1] not in "lsz":
+                    word = stem[:-1]
+            elif form.count("vc") == 1 and _ends_cvc(stem, form):
+                word = stem + "e"
+    # 1c: terminal y -> i when the stem holds a vowel
+    if word.endswith("y") and "v" in _form(word[:-1]):
+        word = word[:-1] + "i"
+    return word
 
-    def _replace_if_m(self, s):
-        if self._m() > 0:
-            self._set_to(s)
 
-    def _step1ab(self):
-        # plurals and -ed/-ing
-        if self.b[self.k] == "s":
-            if self._ends("sses"):
-                self.k -= 2
-            elif self._ends("ies"):
-                self._set_to("i")
-            elif self.k == 0 or self.b[self.k - 1] != "s":
-                self.k -= 1
-        if self._ends("eed"):
-            if self._m() > 0:
-                self.k -= 1
-        elif (self._ends("ed") or self._ends("ing")) and self._vowel_in_stem():
-            self.k = self.j
-            if self._ends("at"):
-                self._set_to("ate")
-            elif self._ends("bl"):
-                self._set_to("ble")
-            elif self._ends("iz"):
-                self._set_to("ize")
-            elif self._double_consonant(self.k):
-                if self.b[self.k - 1] not in "lsz":
-                    self.k -= 1
-            elif self._m() == 1 and self._cvc(self.k):
-                self._set_to("e")
-
-    def _step1c(self):
-        # terminal y -> i when the stem holds a vowel
-        if self._ends("y") and self._vowel_in_stem():
-            self.b = self.b[: self.k] + "i"
-
-    def _step2(self):
-        if self.k < 1:
-            return
-        ch = self.b[self.k - 1]
-        if ch == "a":
-            if self._ends("ational"):
-                self._replace_if_m("ate")
-            elif self._ends("tional"):
-                self._replace_if_m("tion")
-        elif ch == "c":
-            if self._ends("enci"):
-                self._replace_if_m("ence")
-            elif self._ends("anci"):
-                self._replace_if_m("ance")
-        elif ch == "e":
-            if self._ends("izer"):
-                self._replace_if_m("ize")
-        elif ch == "l":
-            if self._ends("abli"):
-                self._replace_if_m("able")
-            elif self._ends("alli"):
-                self._replace_if_m("al")
-            elif self._ends("entli"):
-                self._replace_if_m("ent")
-            elif self._ends("eli"):
-                self._replace_if_m("e")
-            elif self._ends("ousli"):
-                self._replace_if_m("ous")
-        elif ch == "o":
-            if self._ends("ization"):
-                self._replace_if_m("ize")
-            elif self._ends("ation"):
-                self._replace_if_m("ate")
-            elif self._ends("ator"):
-                self._replace_if_m("ate")
-        elif ch == "s":
-            if self._ends("alism"):
-                self._replace_if_m("al")
-            elif self._ends("iveness"):
-                self._replace_if_m("ive")
-            elif self._ends("fulness"):
-                self._replace_if_m("ful")
-            elif self._ends("ousness"):
-                self._replace_if_m("ous")
-        elif ch == "t":
-            if self._ends("aliti"):
-                self._replace_if_m("al")
-            elif self._ends("iviti"):
-                self._replace_if_m("ive")
-            elif self._ends("biliti"):
-                self._replace_if_m("ble")
-
-    def _step3(self):
-        ch = self.b[self.k]
-        if ch == "e":
-            if self._ends("icate"):
-                self._replace_if_m("ic")
-            elif self._ends("ative"):
-                self._replace_if_m("")
-            elif self._ends("alize"):
-                self._replace_if_m("al")
-        elif ch == "i":
-            if self._ends("iciti"):
-                self._replace_if_m("ic")
-        elif ch == "l":
-            if self._ends("ical"):
-                self._replace_if_m("ic")
-            elif self._ends("ful"):
-                self._replace_if_m("")
-        elif ch == "s":
-            if self._ends("ness"):
-                self._replace_if_m("")
-
-    def _step4(self):
-        if self.k < 1:
-            return
-        ch = self.b[self.k - 1]
-        if ch == "a":
-            if not self._ends("al"):
-                return
-        elif ch == "c":
-            if not (self._ends("ance") or self._ends("ence")):
-                return
-        elif ch == "e":
-            if not self._ends("er"):
-                return
-        elif ch == "i":
-            if not self._ends("ic"):
-                return
-        elif ch == "l":
-            if not (self._ends("able") or self._ends("ible")):
-                return
-        elif ch == "n":
-            if not (
-                self._ends("ant")
-                or self._ends("ement")
-                or self._ends("ment")
-                or self._ends("ent")
-            ):
-                return
-        elif ch == "o":
-            # -ion only after s or t; -ou covers -ous via step-4 removal
-            if not ((self._ends("ion") and self.b[self.j] in "st") or self._ends("ou")):
-                return
-        elif ch == "s":
-            if not self._ends("ism"):
-                return
-        elif ch == "t":
-            if not (self._ends("ate") or self._ends("iti")):
-                return
-        elif ch == "u":
-            if not self._ends("ous"):
-                return
-        elif ch == "v":
-            if not self._ends("ive"):
-                return
-        elif ch == "z":
-            if not self._ends("ize"):
-                return
-        else:
-            return
-        if self._m() > 1:
-            self.k = self.j
-
-    def _step5(self):
-        self.j = self.k
-        if self.b[self.k] == "e":
-            a = self._m()
-            if a > 1 or (a == 1 and not self._cvc(self.k - 1)):
-                self.k -= 1
-        if self.b[self.k] == "l" and self._double_consonant(self.k) and self._m() > 1:
-            self.k -= 1
-
-    def run(self):
-        self._step1ab()
-        if self.k >= 0:  # step 1a can consume a bare "s" entirely
-            self._step1c()
-            self._step2()
-            self._step3()
-            self._step4()
-            self._step5()
-        return self.b[: self.k + 1]
+def _step5(word):
+    # 5a: drop a final e when m > 1, or when m = 1 and the stem is not cvc
+    if word.endswith("e"):
+        stem = word[:-1]
+        form = _form(stem)
+        m = form.count("vc")
+        if m > 1 or (m == 1 and not _ends_cvc(stem, form)):
+            word = stem
+    # 5b: -ll -> -l when m > 1
+    if word.endswith("ll") and _measure(word) > 1:
+        word = word[:-1]
+    return word
 
 
 @functools.lru_cache(maxsize=65536)
@@ -280,4 +129,16 @@ def porter_stem(word: str) -> str:
     """
     if not word or not word.isascii() or not word.isalpha() or not word.islower():
         return word
-    return _Stemmer(word).run()
+    word = _step1(word)
+    # steps 2-4; a word that step 1 emptied ends with no suffix and passes through
+    for rules, suffixes, min_measure in _TABLE_STEPS:
+        if not word.endswith(suffixes):
+            continue
+        suffix, replacement = next(rule for rule in rules if word.endswith(rule[0]))
+        stem = word[: -len(suffix)]
+        # step 4's -ion also needs a stem ending in s or t
+        if _measure(stem) > min_measure and (
+            suffix != "ion" or stem.endswith(("s", "t"))
+        ):
+            word = stem + replacement
+    return _step5(word)

@@ -79,8 +79,8 @@ class SparseVector:
     doc_length: int
 
     def __post_init__(self):
-        if any(v <= 0 for v in self.entries.values()):
-            raise ValueError("sparse vector entries must be strictly positive")
+        if not all(0 < v < math.inf for v in self.entries.values()):
+            raise ValueError("sparse vector entries must be finite and strictly positive")
         if self.doc_length < 0:
             raise ValueError("doc_length must be nonnegative")
 

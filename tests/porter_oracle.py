@@ -1,9 +1,11 @@
 """Independent Porter stemmer used only to cross-check the production one.
 
-Deliberately written in a different style: declarative suffix rule tables
-interpreted over whole strings, with measure/vowel predicates computed on
-the candidate stem. Any behavioral gap between this and nbtext.porter is a
-bug in one of the two.
+Both work on whole strings with ordered suffix tables, but this one derives
+its predicates differently: the measure counts ``vc`` pairs in a form whose
+runs are first collapsed by a regex, consonants are classed by a recursive
+per-letter test, every rule carries its own condition callable (step 1a
+included), and no step rejects a word early by its set of suffixes. Any
+behavioral gap between this and nbtext.porter is a bug in one of the two.
 """
 
 import re

@@ -681,3 +681,10 @@ class TestMultinomialScoring:
         assert log_likelihood(model, SparseVector({}, 0), "spam") == 0.0
         report = posterior_scores(model, SparseVector({0: 1}, 1))
         assert report.predicted == "ham" and report.posteriors["ham"] == 1.0
+
+    def test_terms_past_the_float_range_score_minus_inf(self):
+        # math.fsum raises OverflowError here rather than returning -inf
+        vocab = build_vocabulary([["a", "b", "c"]])
+        model = fit_multinomial([SparseVector({0: 1, 1: 1, 2: 1}, 3)], ["c"], vocab, 1.0)
+        vec = SparseVector({0: 1e308, 1: 1e308}, 2)
+        assert log_likelihood(model, vec, "c") == -math.inf

@@ -1,6 +1,7 @@
 """Stemmer conformance: published anchors, a frozen reference vocabulary,
 and cross-validation against an independent rule-table implementation."""
 
+import itertools
 import string
 
 import pytest
@@ -143,6 +144,20 @@ _SUFFIXES = [
 def test_matches_oracle_on_suffixed_words(base, suffix):
     word = base + suffix
     assert porter_stem(word) == oracle_stem(word)
+
+
+def test_matches_oracle_on_every_short_word_and_suffixed_pair():
+    # every rule's measure, cvc and double-consonant gates on every short stem
+    letters = string.ascii_lowercase
+    short = [
+        "".join(chars)
+        for n in (1, 2, 3)
+        for chars in itertools.product(letters, repeat=n)
+    ]
+    suffixed = [a + b + suffix for a in letters for b in letters for suffix in _SUFFIXES]
+    assert len(short) == 18_278 and len(suffixed) == 35_828
+    for word in short + suffixed:
+        assert porter_stem.__wrapped__(word) == oracle_stem(word), word
 
 
 @settings(max_examples=300, deadline=None)

@@ -118,6 +118,10 @@ class TestVectorize:
             SparseVector({0: 0.0}, 1)
         with pytest.raises(ValueError):
             SparseVector({0: -1.0}, 1)
+        with pytest.raises(ValueError):
+            SparseVector({0: math.nan}, 1)
+        with pytest.raises(ValueError):
+            SparseVector({0: math.inf}, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(token_streams, st.lists(st.sampled_from("abcdefghij"), max_size=20))
