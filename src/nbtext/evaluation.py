@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple, Union
 
-from .archive import ModelArchive, finite_float
+from .archive import ModelArchive
 from .models import classify
 
 __all__ = [
@@ -20,8 +20,6 @@ __all__ = [
     "EvaluationReport",
     "load_corpus",
     "load_row_corpus",
-    "load_categorical_corpus",
-    "load_numeric_corpus",
     "split",
     "split_indices",
     "tally",
@@ -95,16 +93,6 @@ def load_row_corpus(path: Union[str, Path], cell=str) -> Tuple[List[list], List[
     if not rows:
         raise CorpusFormatError(path, 0, "empty corpus")
     return rows, labels
-
-
-def load_categorical_corpus(path: Union[str, Path]) -> Tuple[List[List[str]], List[str]]:
-    """Parse "label,v1,v2,..." lines into feature tuples and labels."""
-    return load_row_corpus(path, str)
-
-
-def load_numeric_corpus(path: Union[str, Path]) -> Tuple[List[List[float]], List[str]]:
-    """Parse "label,x1,x2,..." lines into finite real-valued rows and labels."""
-    return load_row_corpus(path, finite_float)
 
 
 def _index_digest(seed: int, index: int) -> bytes:

@@ -7,6 +7,7 @@ toward its doc_length, so normalized tf uses the true document length.
 """
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List
@@ -45,14 +46,17 @@ class Vocabulary:
     total_documents: int
 
     def __post_init__(self):
-        if len(self.document_frequency) != len(self.token_to_id):
+        n, df, total = len(self.token_to_id), self.document_frequency, self.total_documents
+        if len(df) != n:
             raise ValueError("document_frequency length must equal vocabulary size")
-        for tok, i in self.token_to_id.items():
-            if not 0 <= i < len(self.token_to_id):
-                raise ValueError(f"id out of range for token {tok!r}")
-        for i, df in enumerate(self.document_frequency):
-            if not 1 <= df <= self.total_documents:
-                raise ValueError(f"document frequency out of range at id {i}")
+        if not all(map(operator.eq, sorted(self.token_to_id.values()), range(n))):
+            raise ValueError(f"token ids must be 0..{n - 1}, each once")
+        if not set(map(type, self.token_to_id)) <= {str}:
+            raise ValueError("vocabulary tokens must be strings")
+        if type(total) is not int or not set(map(type, df)) <= {int}:
+            raise ValueError("document frequencies and total_documents must be ints")
+        if df and not 1 <= min(df) <= max(df) <= total:
+            raise ValueError(f"document frequencies must lie between 1 and {total}")
 
     def __len__(self):
         return len(self.token_to_id)

@@ -10,13 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from nbtext.archive import VARIANTS, train
+from nbtext.archive import VARIANTS, finite_float, load_archive, save_archive, train
 from nbtext.cli import main
 from nbtext.evaluation import (
     evaluate,
-    load_categorical_corpus,
     load_corpus,
-    load_numeric_corpus,
+    load_row_corpus,
     split,
 )
 from nbtext.pipeline import PipelineConfig
@@ -55,6 +54,39 @@ def _train(tmp_path, corpus_path, *extra):
 
 def _set_first(table, value):
     table[next(iter(table))] = value
+
+
+def _leaf_paths(node, path=()):
+    """Paths to the leaves of a JSON document: every field of an object, and
+    the first and last element of a list or of a table keyed by token id."""
+    if isinstance(node, (list, dict)):
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if isinstance(node, list) or all(k.isdigit() for k in keys):
+            keys = list(dict.fromkeys(keys[:1] + keys[-1:]))
+        for key in keys:
+            yield from _leaf_paths(node[key], path + (key,))
+    else:
+        yield path
+
+
+def _number(value):
+    return type(value) in (int, float)
+
+
+_DROP = object()
+
+# one-field corruptions; negating a value that is not a number gives `not value`
+_CORRUPTIONS = {
+    "drop": lambda value: _DROP,
+    "null": lambda value: None,
+    "string": str,
+    "true": lambda value: True,
+    "fractional": lambda value: value + 0.5 if _number(value) else 0.5,
+    "negated": lambda value: -value if _number(value) else not value,
+}
+
+_QUERIES = {"multinomial": "free prize call now", "bernoulli": "free prize call now",
+            "categorical": "blue square", "gaussian": "1 1"}
 
 
 def _train_variant(tmp_path, corpus_path, toy_csv_path, variant):
@@ -363,6 +395,13 @@ class TestPredict:
         ("multinomial", lambda doc: doc["pipeline"].update(lowercase=1), "lowercase"),
         ("multinomial", lambda doc: doc.update(
             stop_words={"origin": "dictionary", "words": ["the", 7]}), "stop words"),
+        # vocabulary tokens that are not strings, counts that are not ints
+        ("multinomial", lambda doc: doc["vocabulary"]["tokens"].__setitem__(0, None),
+         "tokens must be strings"),
+        ("multinomial", lambda doc: doc["vocabulary"]["document_frequency"].__setitem__(
+            0, 1.25), "must be ints"),
+        ("multinomial", lambda doc: doc["vocabulary"].update(total_documents=48.5),
+         "must be ints"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
             "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
@@ -376,7 +415,8 @@ class TestPredict:
             "tf_sums-negative", "tf_sums-nan", "tf_sums-id-out-of-range",
             "tf_sums-sum-overflows", "value_counts-negative", "class_counts-scaled",
             "weighting-not-taken", "stemming-string", "ngram_size-float",
-            "lowercase-int", "stop-word-not-string"])
+            "lowercase-int", "stop-word-not-string", "token-null", "df-fractional",
+            "total_documents-fractional"])
     def test_malformed_archive(
         self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
     ):
@@ -390,6 +430,40 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_one_field_corruptions_fail_cleanly_or_round_trip(
+        self, tmp_path, corpus_path, toy_csv_path, capsys
+    ):
+        """Each leaf field of an archive of each variant, dropped or replaced:
+        predict either refuses the archive with one error line, or answers
+        and the archive it loaded saves, loads and saves again byte-exact."""
+        broken, resaved = tmp_path / "broken.json", tmp_path / "resaved.json"
+        for variant in VARIANTS:
+            source = _train_variant(tmp_path, corpus_path, toy_csv_path, variant)
+            doc = json.loads(source.read_text(encoding="utf-8"))
+            for path in _leaf_paths(doc):
+                for name, corrupt in _CORRUPTIONS.items():
+                    case = json.loads(json.dumps(doc))
+                    *parents, key = path
+                    table = case
+                    for part in parents:
+                        table = table[part]
+                    table[key] = corrupt(table[key])
+                    if table[key] is _DROP:
+                        del table[key]
+                    broken.write_text(json.dumps(case), encoding="utf-8")
+                    capsys.readouterr()
+                    where = f"{variant} {name} {path}"
+                    code = main(["predict", "--model", str(broken), _QUERIES[variant]])
+                    err = capsys.readouterr().err
+                    if code == 1:
+                        assert err.startswith("error: ") and err.count("\n") == 1, where
+                        continue
+                    assert code == 0, where
+                    save_archive(load_archive(broken), resaved)
+                    first = resaved.read_bytes()
+                    save_archive(load_archive(resaved), resaved)
+                    assert resaved.read_bytes() == first, where
 
     def test_short_bernoulli_row(self, tmp_path, corpus_path, capsys):
         model_path = tmp_path / "bernoulli.json"
@@ -593,11 +667,11 @@ def test_cli_and_train_enforce_one_rule_set(
     usage error for a variant that does not smooth; train ignores alpha there."""
     if variant == "categorical":
         path = toy_csv_path
-        inputs, labels = load_categorical_corpus(path)
+        inputs, labels = load_row_corpus(path, str)
     elif variant == "gaussian":
         path = tmp_path / "numeric.csv"
         path.write_text("a,0,0\na,1,1\nb,5,5\nb,6,6\n", encoding="utf-8")
-        inputs, labels = load_numeric_corpus(path)
+        inputs, labels = load_row_corpus(path, finite_float)
     else:
         path = corpus_path
         documents = load_corpus(path).documents

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbtext.archive import ModelArchive
+from nbtext.archive import ModelArchive, finite_float
 from nbtext.evaluation import (
     CorpusFormatError,
     LabeledCorpus,
     evaluate,
-    load_categorical_corpus,
     load_corpus,
-    load_numeric_corpus,
+    load_row_corpus,
     split,
     split_indices,
     tally,
@@ -72,38 +71,38 @@ class TestLoadCorpus:
 class TestCsvCorpora:
     def test_categorical(self, tmp_path):
         path = _write(tmp_path, "c.csv", "+,blue,square\n-,red,circle\n")
-        samples, labels = load_categorical_corpus(path)
+        samples, labels = load_row_corpus(path, str)
         assert samples == [["blue", "square"], ["red", "circle"]]
         assert labels == ["+", "-"]
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = _write(tmp_path, "c.csv", "+,blue,square\n-,red\n")
         with pytest.raises(CorpusFormatError) as err:
-            load_categorical_corpus(path)
+            load_row_corpus(path, str)
         assert err.value.line_number == 2
 
     def test_numeric(self, tmp_path):
         path = _write(tmp_path, "c.csv", "a,1.5,2\nb,-3,0.25\n")
-        rows, labels = load_numeric_corpus(path)
+        rows, labels = load_row_corpus(path, finite_float)
         assert rows == [[1.5, 2.0], [-3.0, 0.25]]
         assert labels == ["a", "b"]
 
     def test_non_numeric_rejected(self, tmp_path):
         path = _write(tmp_path, "c.csv", "a,1.5,x\n")
         with pytest.raises(CorpusFormatError):
-            load_numeric_corpus(path)
+            load_row_corpus(path, finite_float)
 
     def test_non_numeric_reports_line_number(self, tmp_path):
         path = _write(tmp_path, "c.csv", "a,1,2\nb,3,4\np,x,5\n")
         with pytest.raises(CorpusFormatError) as err:
-            load_numeric_corpus(path)
+            load_row_corpus(path, finite_float)
         assert err.value.line_number == 3
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_reports_line_number(self, tmp_path, cell):
         path = _write(tmp_path, "c.csv", f"a,1,2\nb,3,4\np,{cell},5\n")
         with pytest.raises(CorpusFormatError, match="finite") as err:
-            load_numeric_corpus(path)
+            load_row_corpus(path, finite_float)
         assert err.value.line_number == 3
 
 

@@ -1,9 +1,11 @@
 """The scripts run against the bundled sample corpus."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -27,31 +29,37 @@ def _run_script(*argv):
 
 
 def test_sms_benchmark_runs_on_sample_corpus():
+    flags = ["--input", "tests/data/sample_messages.tsv", "--stem", "on",
+             "--stop-words", "top:5"]
     for extra in ([], ["--variant", "bernoulli"]):
-        result = _run_script(
-            "scripts/sms_benchmark.py", "--corpus", "tests/data/sample_messages.tsv",
-            "--stem", "--stop-top", "5", *extra,
-        )
+        result = _run_script("scripts/sms_benchmark.py", *flags, *extra)
         assert result.returncode == 0, result.stderr
         assert any(line.startswith("accuracy:") for line in result.stdout.splitlines())
+        # the script is nbtext evaluate with the paper's settings, then the wall time
+        cli = _run_script("-m", "nbtext.cli", "evaluate", "--variant", "multinomial",
+                          "--seed", "42", *flags, *extra)
+        report, wall_time = result.stdout.rstrip("\n").rsplit("\n", 1)
+        assert wall_time.startswith("wall time: ")
+        assert report + "\n" == cli.stdout
 
 
-@pytest.mark.parametrize("flags", [
-    ["--variant", "multinomial", "--weighting", "binary"],
-    ["--variant", "bernoulli", "--weighting", "raw_count"],
-    ["--variant", "bernoulli", "--alpha", "2"],
-    ["--alpha", "inf"],
-    ["--alpha", "nan"],
-    ["--variant", "categorical"],
-])
-def test_sms_benchmark_rejects_what_the_cli_rejects(flags):
-    result = _run_script(
-        "scripts/sms_benchmark.py", "--corpus", "tests/data/sample_messages.tsv",
-        *flags,
+def test_fetch_sms_corpus_leaves_an_existing_file_alone(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "fetch_sms_corpus", ROOT / "scripts" / "fetch_sms_corpus.py"
     )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.splitlines()[-1].startswith("sms_benchmark.py: error: ")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    dest = tmp_path / "SMSSpamCollection"
+    dest.write_bytes(b"ham\tkeep me\n")
+
+    def no_network(*args, **kwargs):
+        raise AssertionError("fetch_sms_corpus.py opened a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    monkeypatch.setattr(sys, "argv", ["fetch_sms_corpus.py", "--dest", str(dest)])
+    assert script.main() == 0
+    assert capsys.readouterr().out == f"{dest} already exists; nothing to do\n"
+    assert dest.read_bytes() == b"ham\tkeep me\n"
 
 
 def test_toy_example_prints_the_papers_decisions():

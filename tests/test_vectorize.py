@@ -68,6 +68,8 @@ class TestBuildVocabulary:
             Vocabulary({"a": 0}, [5], 2)
         with pytest.raises(ValueError):
             Vocabulary({"a": 0}, [0], 2)
+        with pytest.raises(ValueError, match="each once"):
+            Vocabulary({"a": 0, "b": 0}, [1, 1], 1)
 
     @settings(max_examples=200, deadline=None)
     @given(token_streams)
