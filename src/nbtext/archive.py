@@ -169,13 +169,13 @@ def _priors_payload(priors: ClassPriors) -> dict:
 
 
 def _priors_from_payload(payload: dict) -> ClassPriors:
-    labels = payload["labels"]
-    counts = dict(zip(labels, payload["counts"]))
-    total = payload["total"]
-    if not total > 0 or sum(counts.values()) != total:
+    labels, counts, total = payload["labels"], payload["counts"], payload["total"]
+    if len(set(labels)) != len(labels) or len(counts) != len(labels):
+        raise ValueError("priors need one count per distinct label")
+    priors = ClassPriors.from_counts(dict(zip(labels, counts)))
+    if type(total) is not int or total != priors.total:
         raise ValueError(f"priors total {total!r} is not the sum of the counts")
-    probs = {lab: counts[lab] / total for lab in labels}
-    return ClassPriors(probs, counts, total)
+    return priors
 
 
 # parameter fields whose JSON form differs from the dataclass value
@@ -285,7 +285,7 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
         raise ArchiveError(f"not a model archive (invalid JSON): {exc}") from exc
     try:
         version = doc["format_version"]
-        if version != FORMAT_VERSION:
+        if type(version) is not int or version != FORMAT_VERSION:
             raise ArchiveError(
                 f"unsupported format_version {version}; this build reads "
                 f"version {FORMAT_VERSION}"

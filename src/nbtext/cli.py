@@ -24,7 +24,7 @@ from .evaluation import (
     split_indices,
 )
 from .models import posterior_scores
-from .pipeline import PipelineConfig, load_stop_list
+from .pipeline import PipelineConfig, load_stop_list, read_lines
 from .vectorize import WEIGHTING_MODES, dump_vocabulary
 
 
@@ -78,7 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--probs", action="store_true", help="print normalized posteriors"
     )
     p_pred.add_argument(
-        "text", nargs="?", help="document to classify (default: stdin, one per line)"
+        "text",
+        nargs="?",
+        help="document to classify (default: stdin, one per line; a leading "
+        "byte-order mark is ignored and whitespace-only lines get no answer)",
     )
     p_pred.set_defaults(func=cmd_predict)
 
@@ -187,11 +190,7 @@ def cmd_predict(args) -> int:
     archive = load_archive(args.model)
     # stdin is read lazily and each answer flushed, so a line is answered
     # as soon as it arrives
-    lines = [args.text] if args.text is not None else sys.stdin
-    for line in lines:
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
+    for _, line in read_lines([args.text] if args.text is not None else sys.stdin):
         report = posterior_scores(archive.model, archive.encode(line))
         if report.degenerate_evidence:
             print(

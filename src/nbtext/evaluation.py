@@ -12,6 +12,7 @@ from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple, Union
 
 from .archive import ModelArchive
 from .models import classify
+from .pipeline import read_lines
 
 __all__ = [
     "CorpusFormatError",
@@ -54,15 +55,12 @@ class LabeledCorpus:
 
 
 def load_corpus(path: Union[str, Path]) -> LabeledCorpus:
-    """Parse a "label<TAB>text" file, one document per non-empty line."""
+    """Parse a "label<TAB>text" file, one document per line of ``read_lines``."""
     docs = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
+        for lineno, line in read_lines(fh):
             label, sep, text = line.partition("\t")
-            if not sep:
+            if not sep or not label.strip():
                 raise CorpusFormatError(path, lineno, "expected 'label<TAB>text'")
             docs.append((label, text))
     if not docs:
@@ -75,12 +73,9 @@ def load_row_corpus(path: Union[str, Path], cell=str) -> Tuple[List[list], List[
     goes through ``cell``; its ValueError is reported at the line number."""
     rows, labels = [], []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, line in read_lines(fh):
             label, *values = [v.strip() for v in line.split(",")]
-            if not values:
+            if not label or not values:
                 raise CorpusFormatError(path, lineno, "expected 'label,v1,...'")
             if rows and len(values) != len(rows[0]):
                 message = f"expected {len(rows[0])} feature values, got {len(values)}"

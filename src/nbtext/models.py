@@ -9,6 +9,7 @@ conditionals mapping to -inf rather than raising.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -79,6 +80,17 @@ class ClassPriors:
         """Build priors from explicit probabilities (no backing counts)."""
         return cls(dict(probabilities))
 
+    @classmethod
+    def from_counts(cls, counts: Dict[str, int]) -> "ClassPriors":
+        """Estimate P(class) as the class's share of the samples; every count
+        must be an int >= 1 (TypeError for any other type, bools included)."""
+        if not set(map(type, counts.values())) <= {int}:
+            raise TypeError("class sample counts must be ints")
+        if min(counts.values(), default=1) < 1:
+            raise ValueError("class sample counts must be >= 1")
+        total = sum(counts.values())
+        return cls({lab: n / total for lab, n in counts.items()}, dict(counts), total)
+
     @property
     def labels(self) -> List[str]:
         return list(self.probabilities)
@@ -92,12 +104,7 @@ def fit_priors(labels: Sequence[str]) -> ClassPriors:
     """Estimate P(class) as the class frequency among the labels."""
     if not labels:
         raise ValueError("labels must be non-empty")
-    counts: Dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    total = len(labels)
-    probs = {lab: n / total for lab, n in counts.items()}
-    return ClassPriors(probs, counts, total)
+    return ClassPriors.from_counts(Counter(labels))
 
 
 @dataclass(frozen=True)
@@ -269,6 +276,8 @@ class MultinomialModel:
         for label, sums in self.tf_sums.items():
             if sums and not (0 <= min(sums) and max(sums) < self.vocab_size):
                 raise ValueError(f"tf_sums[{label!r}] ids must lie in range(vocab_size)")
+            if not set(map(type, sums.values())) <= {int, float}:  # a bool is no weight
+                raise ValueError(f"tf_sums[{label!r}] must hold finite weights >= 0")
             try:
                 exact = math.fsum(sums.values())
             except (OverflowError, ValueError):  # past the float range, or inf - inf
@@ -335,6 +344,8 @@ class GaussianModel:
     n_features: int
 
     def __post_init__(self):
+        if type(self.n_features) is not int:
+            raise ValueError("n_features must be an int")
         rows = [*self.means.values(), *self.stds.values()]
         if any(len(row) != self.n_features for row in rows):
             raise ValueError("means and stds rows must have n_features entries")

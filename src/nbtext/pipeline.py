@@ -9,7 +9,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from .porter import porter_stem
 
@@ -19,6 +19,7 @@ __all__ = [
     "tokenize",
     "build_stop_list",
     "load_stop_list",
+    "read_lines",
     "remove_stop_words",
     "ngrams",
     "run_pipeline",
@@ -115,16 +116,22 @@ def build_stop_list(corpus: Iterable[list], n: int) -> StopList:
     return StopList(frozenset(tok for tok, _ in ranked[:n]), origin=f"frequency({n})")
 
 
+def read_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
+    """Yield ``(line number, line)`` for each line holding more than whitespace,
+    without its trailing newline and, on line 1, a byte-order mark. Numbers
+    count from 1 and include skipped lines. Every line nbtext reads comes here."""
+    for number, line in enumerate(lines, start=1):
+        if number == 1:
+            line = line.removeprefix("\ufeff")
+        if line.strip():
+            yield number, line.rstrip("\n")
+
+
 def load_stop_list(path: Union[str, Path]) -> StopList:
     """Load a dictionary stop list: one word per line, ``#`` comments ignored,
     trailing whitespace trimmed."""
-    words = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.rstrip()
-            if not word or word.startswith("#"):
-                continue
-            words.add(word)
+        words = {line.rstrip() for _, line in read_lines(fh) if line[0] != "#"}
     return StopList(frozenset(words), origin="dictionary")
 
 

@@ -26,6 +26,7 @@ TOY_CSV = (
     "+,green,square\n+,red,square\n+,red,circle\n"
     "-,blue,square\n-,blue,square\n-,blue,circle\n-,green,square\n-,red,circle\n"
 )
+GAUSSIAN_CSV = "a,0,0\na,1,1\na,2,1\nb,5,5\nb,6,6\nb,7,5\n"
 
 
 @pytest.fixture
@@ -54,6 +55,16 @@ def _train(tmp_path, corpus_path, *extra):
 
 def _set_first(table, value):
     table[next(iter(table))] = value
+
+
+def _true_weight(doc):
+    """Replace spam's first tf_sums weight with JSON true, keeping its total
+    the sum of the weights."""
+    params = doc["parameters"]
+    sums = params["tf_sums"]["spam"]
+    first = next(iter(sums))
+    params["class_totals"]["spam"] += 1 - sums[first]
+    sums[first] = True
 
 
 def _leaf_paths(node, path=()):
@@ -209,6 +220,91 @@ class TestTrain:
         assert main([]) == 2
 
 
+def _last_cell(value):
+    return lambda line, sep: line.rpartition(sep)[0] + sep + value
+
+
+# one-line corpus mutations: name -> (mutate the line, expected outcome).
+# "error": exit 1 with one error line naming the corpus at the mutated line;
+# "deleted": the archive of the corpus with that line deleted; "clean": the
+# archive of the unmutated corpus; "exit 0": trains; "undecodable": exit 1
+# with one error line. A BOM before line 1 and CRLF on every line give "clean".
+_EVERY_CORPUS = {
+    "no separator": (lambda line, sep: line.replace(sep, " "), "error"),
+    "empty label": (lambda line, sep: sep + line.partition(sep)[2], "error"),
+    "whitespace-only label": (lambda line, sep: " " + sep + line.partition(sep)[2],
+                              "error"),
+    "whitespace-only line": (lambda line, sep: " \t\x0b ", "deleted"),
+    "CRLF ending": (lambda line, sep: line + "\r", "clean"),
+    # written with surrogateescape, U+DCFF is the byte 0xff
+    "invalid UTF-8": (lambda line, sep: line + "\udcff", "undecodable"),
+}
+_ROW_CORPUS = {
+    "extra cell": (lambda line, sep: line + sep + "1", "error"),
+    "missing cell": (lambda line, sep: line.rpartition(sep)[0], "error"),
+}
+_TEXT_CELLS = {"NUL inside text": (lambda line, sep: line + "\x00", "exit 0")}
+_NUMBER_CELLS = {
+    "nan cell": (_last_cell("nan"), "error"),
+    "inf cell": (_last_cell("inf"), "error"),
+    "1e309 cell": (_last_cell("1e309"), "error"),
+    "NUL in a cell": (lambda line, sep: line + "\x00", "error"),
+}
+
+
+class TestCorpusMutations:
+    def test_one_line_mutations(self, tmp_path, data_dir, capsys):
+        """Each mutation of the first, a middle and the last line of a corpus
+        of each variant either fails with one error line naming that line, or
+        trains the archive its table entry names."""
+        sms = (data_dir / "sample_messages.tsv").read_text(encoding="utf-8")
+        corpora = {
+            "multinomial": (sms, "\t", {**_EVERY_CORPUS, **_TEXT_CELLS}),
+            "bernoulli": (sms, "\t", {**_EVERY_CORPUS, **_TEXT_CELLS}),
+            "categorical": (TOY_CSV, ",", {**_EVERY_CORPUS, **_ROW_CORPUS, **_TEXT_CELLS}),
+            "gaussian": (GAUSSIAN_CSV, ",", {**_EVERY_CORPUS, **_ROW_CORPUS,
+                                              **_NUMBER_CELLS}),
+        }
+        corpus, model = tmp_path / "corpus.txt", tmp_path / "model.json"
+
+        def train_on(variant, lines):
+            text = "".join(line + "\n" for line in lines)
+            corpus.write_bytes(text.encode("utf-8", "surrogateescape"))
+            model.unlink(missing_ok=True)
+            capsys.readouterr()
+            code = main(["train", "--input", str(corpus), "--model", str(model),
+                         "--variant", variant])
+            err = capsys.readouterr().err
+            return code, err, model.read_bytes() if code == 0 else None
+
+        for variant, (text, sep, mutations) in corpora.items():
+            lines = text.splitlines()
+            clean = train_on(variant, lines)
+            assert clean[0] == 0, variant
+            assert train_on(variant, ["\ufeff" + lines[0], *lines[1:]]) == clean, variant
+            assert train_on(variant, [line + "\r" for line in lines]) == clean, variant
+            for i in sorted({0, len(lines) // 2, len(lines) - 1}):
+                deleted = train_on(variant, lines[:i] + lines[i + 1 :])
+                for name, (mutate, outcome) in mutations.items():
+                    where = f"{variant} {name} line {i + 1}"
+                    code, err, archive = train_on(
+                        variant, [*lines[:i], mutate(lines[i], sep), *lines[i + 1 :]]
+                    )
+                    if outcome == "deleted":
+                        assert (code, err, archive) == deleted, where
+                    elif outcome == "clean":
+                        assert (code, err, archive) == clean, where
+                    elif outcome == "exit 0":
+                        assert code == 0, where
+                    else:
+                        assert code == 1, where
+                        assert err.startswith("error: ") and err.count("\n") == 1, where
+                    if outcome == "error":
+                        # the first row sets the cell count, so line 2 disagrees
+                        row = 2 if i == 0 and name in _ROW_CORPUS else i + 1
+                        assert f"{corpus}:{row}: " in err, where
+
+
 class TestPredict:
     def test_stdin_line_answered_before_eof(self, tmp_path, corpus_path):
         model_path = _train(tmp_path, corpus_path)
@@ -264,6 +360,20 @@ class TestPredict:
         code = main(["predict", "--model", str(model_path)])
         assert code == 0
         assert capsys.readouterr().out.splitlines() == ["spam", "ham"]
+
+    def test_stdin_byte_order_mark_ignored(
+        self, tmp_path, corpus_path, capsys, monkeypatch
+    ):
+        import io
+
+        model_path = _train(tmp_path, corpus_path)
+        answers = []
+        for stdin in ("free prize claim now\n", "\ufefffree prize claim now\n"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            capsys.readouterr()
+            assert main(["predict", "--model", str(model_path), "--probs"]) == 0
+            answers.append(capsys.readouterr().out)
+        assert answers[0] == answers[1]
 
     def test_probs_sum_to_one(self, tmp_path, corpus_path, capsys):
         model_path = _train(tmp_path, corpus_path)
@@ -402,6 +512,32 @@ class TestPredict:
             0, 1.25), "must be ints"),
         ("multinomial", lambda doc: doc["vocabulary"].update(total_documents=48.5),
          "must be ints"),
+        # prior counts that are not ints, or not one per distinct label, and
+        # a total that is not an int
+        ("multinomial", lambda doc: doc["priors"].update(
+            counts=[doc["priors"]["counts"][0] + 0.5, *doc["priors"]["counts"][1:]],
+            total=doc["priors"]["total"] + 0.5), "counts must be ints"),
+        ("multinomial", lambda doc: doc["priors"].update(
+            counts=[float(n) for n in doc["priors"]["counts"]]), "counts must be ints"),
+        ("multinomial", lambda doc: doc["priors"].update(
+            counts=[True, *doc["priors"]["counts"][1:]],
+            total=1 + sum(doc["priors"]["counts"][1:])), "counts must be ints"),
+        ("multinomial", lambda doc: doc["priors"].update(labels=["ham", "ham"]),
+         "one count per distinct label"),
+        ("multinomial", lambda doc: doc["priors"].update(
+            counts=doc["priors"]["counts"] + [5], total=doc["priors"]["total"] + 5),
+         "one count per distinct label"),
+        ("multinomial", lambda doc: doc["priors"].update(
+            counts=doc["priors"]["counts"][:1], total=doc["priors"]["counts"][0]),
+         "one count per distinct label"),
+        ("multinomial", lambda doc: doc["priors"].update(
+            total=float(doc["priors"]["total"])), "total"),
+        # JSON true and floats where the archive needs ints or weights
+        ("multinomial", lambda doc: doc.update(format_version=True), "format_version"),
+        ("multinomial", _true_weight, "tf_sums"),
+        ("gaussian", lambda doc: doc["parameters"].update(n_features=2.0), "n_features"),
+        ("gaussian", lambda doc: doc["parameters"].update(n_features=True),
+         "n_features"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
             "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
@@ -416,7 +552,10 @@ class TestPredict:
             "tf_sums-sum-overflows", "value_counts-negative", "class_counts-scaled",
             "weighting-not-taken", "stemming-string", "ngram_size-float",
             "lowercase-int", "stop-word-not-string", "token-null", "df-fractional",
-            "total_documents-fractional"])
+            "total_documents-fractional", "counts-fractional", "counts-float",
+            "counts-true", "labels-duplicate", "counts-longer", "counts-shorter",
+            "total-float", "format_version-true", "tf_sums-true", "n_features-float",
+            "n_features-true"])
     def test_malformed_archive(
         self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
     ):

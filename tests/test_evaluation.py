@@ -32,10 +32,22 @@ class TestLoadCorpus:
         path = _write(tmp_path, "c.tsv", "ham\tOk lar...\n")
         corpus = load_corpus(path)
         assert corpus.documents == (("ham", "Ok lar..."),)
+        # a byte-order mark before line 1 is not part of the label
+        path = _write(tmp_path, "c.tsv", "\ufeffham\tOk lar...\n")
+        assert load_corpus(path).documents == corpus.documents
 
     def test_missing_tab_reports_line_number(self, tmp_path):
         path = _write(tmp_path, "c.tsv", "ham\tfine\nspamFree entry\n")
         with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path)
+        assert err.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "line", ["\tFree entry", " \tFree entry"], ids=["empty", "whitespace"]
+    )
+    def test_empty_label_reports_line_number(self, tmp_path, line):
+        path = _write(tmp_path, "c.tsv", f"ham\tfine\n{line}\n")
+        with pytest.raises(CorpusFormatError, match="c.tsv:2: expected") as err:
             load_corpus(path)
         assert err.value.line_number == 2
 
@@ -47,6 +59,9 @@ class TestLoadCorpus:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = _write(tmp_path, "c.tsv", "ham\tone\n\nspam\ttwo\n\n")
+        assert len(load_corpus(path)) == 2
+        # lines holding only whitespace are blank too
+        path = _write(tmp_path, "c.tsv", "ham\tone\n   \nspam\ttwo\n \t \n")
         assert len(load_corpus(path)) == 2
 
     def test_text_may_contain_tabs(self, tmp_path):
@@ -74,10 +89,21 @@ class TestCsvCorpora:
         samples, labels = load_row_corpus(path, str)
         assert samples == [["blue", "square"], ["red", "circle"]]
         assert labels == ["+", "-"]
+        path = _write(tmp_path, "c.csv", "\ufeff+,blue,square\n-,red,circle\n")
+        assert load_row_corpus(path, str) == (samples, labels)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = _write(tmp_path, "c.csv", "+,blue,square\n-,red\n")
         with pytest.raises(CorpusFormatError) as err:
+            load_row_corpus(path, str)
+        assert err.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "line", [",red,circle", " ,red,circle"], ids=["empty", "whitespace"]
+    )
+    def test_empty_label_reports_line_number(self, tmp_path, line):
+        path = _write(tmp_path, "c.csv", f"+,blue,square\n{line}\n")
+        with pytest.raises(CorpusFormatError, match="c.csv:2: expected") as err:
             load_row_corpus(path, str)
         assert err.value.line_number == 2
 
@@ -86,6 +112,8 @@ class TestCsvCorpora:
         rows, labels = load_row_corpus(path, finite_float)
         assert rows == [[1.5, 2.0], [-3.0, 0.25]]
         assert labels == ["a", "b"]
+        path = _write(tmp_path, "c.csv", "\ufeffa,1.5,2\nb,-3,0.25\n")
+        assert load_row_corpus(path, finite_float) == (rows, labels)
 
     def test_non_numeric_rejected(self, tmp_path):
         path = _write(tmp_path, "c.csv", "a,1.5,x\n")

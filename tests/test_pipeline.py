@@ -14,6 +14,7 @@ from nbtext.pipeline import (
     build_stop_list,
     load_stop_list,
     ngrams,
+    read_lines,
     remove_stop_words,
     run_pipeline,
     tokenize,
@@ -166,6 +167,24 @@ class TestStopWords:
         stops = load_stop_list(path)
         assert stops.words == {"the", "a", "is"}
         assert stops.origin == "dictionary"
+        # a byte-order mark before line 1 is not part of the first word
+        path.write_text("\ufeffthe\na\n \t \nis\n", encoding="utf-8")
+        assert load_stop_list(path).words == stops.words
+
+
+class TestReadLines:
+    def test_numbers_count_skipped_lines(self):
+        lines = ["a\n", "\n", " \t\x1c\x85\n", "b c\n", "d"]
+        assert list(read_lines(lines)) == [(1, "a"), (4, "b c"), (5, "d")]
+
+    def test_byte_order_mark_dropped_before_line_1_only(self):
+        lines = ["\ufeffa\n", "\ufeffb\n"]
+        assert list(read_lines(lines)) == [(1, "a"), (2, "\ufeffb")]
+        assert list(read_lines(["\ufeff\n", "a"])) == [(2, "a")]
+
+    def test_keeps_inner_and_leading_whitespace(self):
+        # only the newline goes; a label or word keeps what surrounds it
+        assert list(read_lines([" a\tb \r\n"])) == [(1, " a\tb \r")]
 
 
 class TestNgrams:
