@@ -281,7 +281,7 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArchiveError(f"not a model archive (invalid JSON): {exc}") from exc
     try:
         version = doc["format_version"]

@@ -8,11 +8,11 @@ and the head of that ordering becomes the test partition.
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
 from .archive import ModelArchive
 from .models import classify
-from .pipeline import read_lines
+from .pipeline import read_file_lines
 
 __all__ = [
     "CorpusFormatError",
@@ -54,39 +54,38 @@ class LabeledCorpus:
         return len(self.documents)
 
 
-def load_corpus(path: Union[str, Path]) -> LabeledCorpus:
-    """Parse a "label<TAB>text" file, one document per line of ``read_lines``."""
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in read_lines(fh):
-            label, sep, text = line.partition("\t")
-            if not sep or not label.strip():
-                raise CorpusFormatError(path, lineno, "expected 'label<TAB>text'")
-            docs.append((label, text))
-    if not docs:
+def _labeled_lines(path, sep: str, expected: str) -> Iterator[Tuple[int, str, str]]:
+    """Yield ``(line number, label, rest)`` per line, split at the first ``sep``."""
+    lineno = 0
+    for lineno, line in read_file_lines(path):
+        label, found, rest = line.partition(sep)
+        if not found or not label.strip():
+            raise CorpusFormatError(path, lineno, f"expected {expected!r}")
+        yield lineno, label.strip(), rest
+    if lineno == 0:
         raise CorpusFormatError(path, 0, "empty corpus")
-    return LabeledCorpus(tuple(docs))
+
+
+def load_corpus(path: Union[str, Path]) -> LabeledCorpus:
+    """Parse a "label<TAB>text" file, one document per line of ``read_file_lines``."""
+    lines = _labeled_lines(path, "\t", "label<TAB>text")
+    return LabeledCorpus(tuple((label, text) for _, label, text in lines))
 
 
 def load_row_corpus(path: Union[str, Path], cell=str) -> Tuple[List[list], List[str]]:
     """Parse "label,v1,v2,..." lines into rows of cells and labels. Each cell
     goes through ``cell``; its ValueError is reported at the line number."""
     rows, labels = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in read_lines(fh):
-            label, *values = [v.strip() for v in line.split(",")]
-            if not label or not values:
-                raise CorpusFormatError(path, lineno, "expected 'label,v1,...'")
-            if rows and len(values) != len(rows[0]):
-                message = f"expected {len(rows[0])} feature values, got {len(values)}"
-                raise CorpusFormatError(path, lineno, message)
-            try:
-                rows.append([cell(v) for v in values])
-            except ValueError as exc:
-                raise CorpusFormatError(path, lineno, str(exc)) from exc
-            labels.append(label)
-    if not rows:
-        raise CorpusFormatError(path, 0, "empty corpus")
+    for lineno, label, rest in _labeled_lines(path, ",", "label,v1,..."):
+        values = [v.strip() for v in rest.split(",")]
+        if rows and len(values) != len(rows[0]):
+            message = f"expected {len(rows[0])} feature values, got {len(values)}"
+            raise CorpusFormatError(path, lineno, message)
+        try:
+            rows.append([cell(v) for v in values])
+        except ValueError as exc:
+            raise CorpusFormatError(path, lineno, str(exc)) from exc
+        labels.append(label)
     return rows, labels
 
 

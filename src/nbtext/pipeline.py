@@ -20,6 +20,7 @@ __all__ = [
     "build_stop_list",
     "load_stop_list",
     "read_lines",
+    "read_file_lines",
     "remove_stop_words",
     "ngrams",
     "run_pipeline",
@@ -84,16 +85,11 @@ def _strip_boundary_punctuation(token: str) -> str:
 def tokenize(text: str, config: PipelineConfig) -> list:
     """Split ``text`` on whitespace, optionally trimming boundary punctuation
     and lowercasing. Tokens emptied by punctuation stripping are dropped."""
-    tokens = []
-    for raw in text.split():
-        tok = raw
-        if config.strip_punctuation:
-            tok = _strip_boundary_punctuation(tok)
-            if not tok:
-                continue
-        if config.lowercase:
-            tok = tok.lower()
-        tokens.append(tok)
+    tokens = text.split()
+    if config.strip_punctuation:
+        tokens = [tok for raw in tokens if (tok := _strip_boundary_punctuation(raw))]
+    if config.lowercase:
+        tokens = [tok.lower() for tok in tokens]
     return tokens
 
 
@@ -106,11 +102,10 @@ def build_stop_list(corpus: Iterable[list], n: int) -> StopList:
     if n < 1:
         raise ValueError("n must be >= 1")
     counts = Counter()
-    seen_any = False
-    for stream in corpus:
-        seen_any = True
+    n_docs = 0
+    for n_docs, stream in enumerate(corpus, start=1):
         counts.update(stream)
-    if not seen_any:
+    if n_docs == 0:
         raise ValueError("corpus must be non-empty")
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return StopList(frozenset(tok for tok, _ in ranked[:n]), origin=f"frequency({n})")
@@ -127,11 +122,24 @@ def read_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
             yield number, line.rstrip("\n")
 
 
+def read_file_lines(path: Union[str, Path]) -> Iterator[Tuple[int, str]]:
+    """``read_lines`` over the UTF-8 file at ``path``, split at LF only, less one
+    trailing CR. Any other CR fails at ``path:line``; bytes that are not UTF-8 fail
+    at ``path``, as decoding runs ahead of the lines. Input files open here."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        try:
+            for number, line in read_lines(fh):
+                if "\r" in line[:-1]:
+                    raise ValueError(f"{path}:{number}: carriage return inside a line")
+                yield number, line.removesuffix("\r")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_stop_list(path: Union[str, Path]) -> StopList:
     """Load a dictionary stop list: one word per line, ``#`` comments ignored,
     trailing whitespace trimmed."""
-    with open(path, encoding="utf-8") as fh:
-        words = {line.rstrip() for _, line in read_lines(fh) if line[0] != "#"}
+    words = {line.rstrip() for _, line in read_file_lines(path) if line[0] != "#"}
     return StopList(frozenset(words), origin="dictionary")
 
 

@@ -93,20 +93,16 @@ def build_vocabulary(corpus: Iterable[list]) -> Vocabulary:
     """Scan token streams, assigning ids by first appearance and counting
     per-token document frequency (documents, not occurrences)."""
     token_to_id: Dict[str, int] = {}
-    doc_freq: Dict[str, int] = {}
+    df: List[int] = []
     n_docs = 0
-    for stream in corpus:
-        n_docs += 1
-        for tok in stream:
-            if tok not in token_to_id:
-                token_to_id[tok] = len(token_to_id)
-        for tok in set(stream):
-            doc_freq[tok] = doc_freq.get(tok, 0) + 1
+    for n_docs, stream in enumerate(corpus, start=1):
+        for tok in dict.fromkeys(stream):
+            i = token_to_id.setdefault(tok, len(df))
+            if i == len(df):
+                df.append(0)
+            df[i] += 1
     if n_docs == 0:
         raise ValueError("corpus must be non-empty")
-    df = [0] * len(token_to_id)
-    for tok, i in token_to_id.items():
-        df[i] = doc_freq[tok]
     return Vocabulary(token_to_id, df, n_docs)
 
 
@@ -127,20 +123,16 @@ def vectorize(stream: list, vocab: Vocabulary, mode: str) -> SparseVector:
     if mode not in WEIGHTING_MODES:
         raise ValueError(f"unknown weighting mode: {mode!r}")
     n_d = len(stream)
-    counts = Counter(tok for tok in stream if tok in vocab.token_to_id)
-    entries: Dict[int, float] = {}
-    for tok, tf in counts.items():
-        i = vocab.token_to_id[tok]
-        if mode == BINARY:
-            entries[i] = 1
-        elif mode == RAW_COUNT:
-            entries[i] = tf
-        elif mode == NORMALIZED_TF:
-            entries[i] = tf / n_d
-        else:
-            weight = (tf / n_d) * idf(vocab, i)
-            if weight > 0:
-                entries[i] = weight
+    counts = Counter(map(vocab.token_to_id.get, stream))
+    counts.pop(None, None)  # out-of-vocabulary tokens
+    if mode == BINARY:
+        entries = dict.fromkeys(counts, 1)
+    elif mode == RAW_COUNT:
+        entries = dict(counts)
+    elif mode == NORMALIZED_TF:
+        entries = {i: tf / n_d for i, tf in counts.items()}
+    else:
+        entries = {i: w for i, tf in counts.items() if (w := (tf / n_d) * idf(vocab, i)) > 0}
     return SparseVector(entries, n_d)
 
 

@@ -134,3 +134,54 @@ def strip_boundary_punctuation_oracle(token: str) -> str:
     while end > start and unicodedata.category(token[end - 1]).startswith("P"):
         end -= 1
     return token[start:end]
+
+
+def vocabulary_oracle(
+    corpus: Sequence[Sequence[str]],
+) -> Tuple[Dict[str, int], List[int], int]:
+    """Token ids by first appearance, per-token document frequencies and the
+    document count. Frequencies are kept by token, one count per distinct
+    token of a document, and laid out by id after the scan."""
+    token_to_id: Dict[str, int] = {}
+    doc_freq: Dict[str, int] = {}
+    n_docs = 0
+    for stream in corpus:
+        n_docs += 1
+        for tok in stream:
+            if tok not in token_to_id:
+                token_to_id[tok] = len(token_to_id)
+        for tok in set(stream):
+            doc_freq[tok] = doc_freq.get(tok, 0) + 1
+    df = [0] * len(token_to_id)
+    for tok, i in token_to_id.items():
+        df[i] = doc_freq[tok]
+    return token_to_id, df, n_docs
+
+
+def vectorize_oracle(
+    stream: Sequence[str],
+    token_to_id: Dict[str, int],
+    df: Sequence[int],
+    n_docs: int,
+    mode: str,
+) -> Dict[int, float]:
+    """Sparse weights of ``stream``, entry by entry in order of first
+    appearance, skipping unknown tokens: 1 ("binary"), the count tf
+    ("raw_count"), tf / len(stream) ("normalized_tf"), or that times
+    ln(n_docs / df) ("tfidf"), kept only when above zero."""
+    n_d = len(stream)
+    counts = Counter(tok for tok in stream if tok in token_to_id)
+    entries: Dict[int, float] = {}
+    for tok, tf in counts.items():
+        i = token_to_id[tok]
+        if mode == "binary":
+            entries[i] = 1
+        elif mode == "raw_count":
+            entries[i] = tf
+        elif mode == "normalized_tf":
+            entries[i] = tf / n_d
+        else:
+            weight = (tf / n_d) * math.log(n_docs / df[i])
+            if weight > 0:
+                entries[i] = weight
+    return entries

@@ -136,6 +136,18 @@ class TestTrain:
         stops.write_text("# noise\nthe\na\nto\n", encoding="utf-8")
         _train(tmp_path, corpus_path, "--stop-words", f"dict:{stops}")
 
+    def test_undecodable_stop_list_named(self, tmp_path, corpus_path, capsys):
+        stops = tmp_path / "stops.txt"
+        stops.write_bytes(b"the\n\xff\n")
+        code = main(
+            ["train", "--input", str(corpus_path), "--model", str(tmp_path / "m"),
+             "--variant", "multinomial", "--stop-words", f"dict:{stops}"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{stops}: not UTF-8 text" in err
+
     def test_bernoulli_defaults_to_binary(self, tmp_path, corpus_path, capsys):
         model_path = tmp_path / "m.json"
         code = main(
@@ -228,7 +240,8 @@ def _last_cell(value):
 # "error": exit 1 with one error line naming the corpus at the mutated line;
 # "deleted": the archive of the corpus with that line deleted; "clean": the
 # archive of the unmutated corpus; "exit 0": trains; "undecodable": exit 1
-# with one error line. A BOM before line 1 and CRLF on every line give "clean".
+# with one error line naming the corpus. A BOM before line 1 and CRLF on every
+# line give "clean".
 _EVERY_CORPUS = {
     "no separator": (lambda line, sep: line.replace(sep, " "), "error"),
     "empty label": (lambda line, sep: sep + line.partition(sep)[2], "error"),
@@ -236,6 +249,8 @@ _EVERY_CORPUS = {
                               "error"),
     "whitespace-only line": (lambda line, sep: " \t\x0b ", "deleted"),
     "CRLF ending": (lambda line, sep: line + "\r", "clean"),
+    "padded label": (lambda line, sep: " " + line.replace(sep, "  " + sep, 1), "clean"),
+    "CR inside a line": (lambda line, sep: line.replace(sep, sep + "\r", 1), "error"),
     # written with surrogateescape, U+DCFF is the byte 0xff
     "invalid UTF-8": (lambda line, sep: line + "\udcff", "undecodable"),
 }
@@ -303,6 +318,8 @@ class TestCorpusMutations:
                         # the first row sets the cell count, so line 2 disagrees
                         row = 2 if i == 0 and name in _ROW_CORPUS else i + 1
                         assert f"{corpus}:{row}: " in err, where
+                    if outcome == "undecodable":
+                        assert f"{corpus}: " in err, where
 
 
 class TestPredict:
@@ -538,6 +555,8 @@ class TestPredict:
         ("gaussian", lambda doc: doc["parameters"].update(n_features=2.0), "n_features"),
         ("gaussian", lambda doc: doc["parameters"].update(n_features=True),
          "n_features"),
+        # written with surrogateescape, U+DCFF is the byte 0xff
+        ("multinomial", lambda doc: doc.update(variant="\udcff"), "not a model archive"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
             "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
@@ -555,7 +574,7 @@ class TestPredict:
             "total_documents-fractional", "counts-fractional", "counts-float",
             "counts-true", "labels-duplicate", "counts-longer", "counts-shorter",
             "total-float", "format_version-true", "tf_sums-true", "n_features-float",
-            "n_features-true"])
+            "n_features-true", "not-utf-8"])
     def test_malformed_archive(
         self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
     ):
@@ -563,7 +582,8 @@ class TestPredict:
         model_path = _train_variant(tmp_path, corpus_path, toy_csv_path, variant)
         doc = json.loads(model_path.read_text(encoding="utf-8"))
         corrupt(doc)
-        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        text = json.dumps(doc, ensure_ascii=False)
+        model_path.write_bytes(text.encode("utf-8", "surrogateescape"))
         capsys.readouterr()
         assert main(["predict", "--model", str(model_path), "free prize"]) == 1
         err = capsys.readouterr().err

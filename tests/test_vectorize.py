@@ -18,6 +18,7 @@ from nbtext.vectorize import (
     idf,
     vectorize,
 )
+from oracles import vectorize_oracle, vocabulary_oracle
 
 D1 = ["each", "state", "has", "its", "own", "laws"]
 D2 = ["every", "country", "has", "its", "own", "culture"]
@@ -167,6 +168,33 @@ class TestVectorize:
         vocab = build_vocabulary(corpus)
         vec = vectorize(stream, vocab, RAW_COUNT)
         assert sum(vec.entries.values()) <= vec.doc_length
+
+
+class TestAgainstOracle:
+    """Exact agreement, ids, weights, value types and entry order, with the
+    per-entry reference in ``oracles``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(token_streams)
+    def test_vocabulary(self, corpus):
+        vocab = build_vocabulary(corpus)
+        token_to_id, df, n_docs = vocabulary_oracle(corpus)
+        assert list(vocab.token_to_id.items()) == list(token_to_id.items())
+        assert vocab.document_frequency == df
+        assert vocab.total_documents == n_docs
+
+    @settings(max_examples=200, deadline=None)
+    @given(token_streams, st.lists(st.sampled_from("abcdefghij"), max_size=20))
+    def test_vectorize_every_weighting(self, corpus, stream):
+        # "i" and "j" never enter the vocabulary
+        vocab = build_vocabulary(corpus)
+        for mode in (BINARY, RAW_COUNT, NORMALIZED_TF, TFIDF):
+            vec = vectorize(stream, vocab, mode)
+            expected = vectorize_oracle(stream, *vocabulary_oracle(corpus), mode)
+            assert [(i, w, type(w)) for i, w in vec.entries.items()] == [
+                (i, w, type(w)) for i, w in expected.items()
+            ], mode
+            assert vec.doc_length == len(stream)
 
 
 class TestIdf:
