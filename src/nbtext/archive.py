@@ -23,7 +23,14 @@ from .models import (
     fit_gaussian,
     fit_multinomial,
 )
-from .pipeline import PipelineConfig, StopList, build_stop_list, run_pipeline, tokenize
+from .pipeline import (
+    PipelineConfig,
+    StopList,
+    build_stop_list,
+    run_pipeline,
+    run_stages,
+    tokenize,
+)
 from .vectorize import (
     BINARY,
     NORMALIZED_TF,
@@ -181,14 +188,14 @@ def _priors_from_payload(payload: dict) -> ClassPriors:
 # parameter fields whose JSON form differs from the dataclass value
 _FIELD_DECODERS = {
     "tf_sums": lambda tf_sums: {
-        lab: {int(i): v for i, v in sums.items()} for lab, sums in tf_sums.items()
+        lab: dict(zip(map(int, sums), sums.values())) for lab, sums in tf_sums.items()
     },
     "value_counts": tuple,
 }
 
 
 def _model_payload(model: NaiveBayesModel) -> dict:
-    # every dataclass field after priors; json.dump writes the int keys of
+    # every dataclass field after priors; json.dumps writes the int keys of
     # tf_sums as strings and the value_counts tuple as a list
     return {f.name: getattr(model, f.name) for f in fields(model)[1:]}
 
@@ -236,9 +243,17 @@ def train(
     if variant == "gaussian":
         return ModelArchive(variant, fit_gaussian(inputs, labels))
     if stops is None and pipeline_config.stop_word_mode == "frequency":
+        # each text is tokenized once; until the stop list is built the token
+        # lists share one string per distinct token, which keeps peak memory
+        # near that of the finished streams
+        canon = {}
         tokenized = (tokenize(text, pipeline_config) for text in inputs)
-        stops = build_stop_list(tokenized, pipeline_config.frequency_top_n)
-    streams = [run_pipeline(text, pipeline_config, stops) for text in inputs]
+        streams = [list(map(canon.setdefault, t, t)) for t in tokenized]
+        stops = build_stop_list(streams, pipeline_config.frequency_top_n)
+        for i, tokens in enumerate(streams):
+            streams[i] = run_stages(tokens, pipeline_config, stops)
+    else:
+        streams = [run_pipeline(text, pipeline_config, stops) for text in inputs]
     vocab = build_vocabulary(streams)
     vectors = [vectorize(s, vocab, weighting) for s in streams]
     if variant == "bernoulli":
@@ -272,9 +287,9 @@ def save_archive(archive: ModelArchive, path: Union[str, Path]) -> None:
         if archive.vocab is not None
         else None,
     }
+    # one json.dumps call runs the C encoder; json.dump to a file does not
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
 
 
 def load_archive(path: Union[str, Path]) -> ModelArchive:

@@ -24,7 +24,7 @@ from .evaluation import (
     split_indices,
 )
 from .models import posterior_scores
-from .pipeline import PipelineConfig, load_stop_list, read_lines
+from .pipeline import PipelineConfig, load_stop_list, read_lines, read_stdin_lines
 from .vectorize import WEIGHTING_MODES, dump_vocabulary
 
 
@@ -190,7 +190,8 @@ def cmd_predict(args) -> int:
     archive = load_archive(args.model)
     # stdin is read lazily and each answer flushed, so a line is answered
     # as soon as it arrives
-    for _, line in read_lines([args.text] if args.text is not None else sys.stdin):
+    lines = read_lines([args.text]) if args.text is not None else read_stdin_lines(sys.stdin)
+    for _, line in lines:
         report = posterior_scores(archive.model, archive.encode(line))
         if report.degenerate_evidence:
             print(

@@ -5,6 +5,8 @@ stemming -> n-gram expansion. Every function is pure; configs and stop
 lists are immutable once built.
 """
 
+import heapq
+import io
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -21,9 +23,11 @@ __all__ = [
     "load_stop_list",
     "read_lines",
     "read_file_lines",
+    "read_stdin_lines",
     "remove_stop_words",
     "ngrams",
     "run_pipeline",
+    "run_stages",
 ]
 
 STOP_WORD_MODES = ("none", "dictionary", "frequency")
@@ -69,11 +73,6 @@ class StopList:
 
 
 def _strip_boundary_punctuation(token: str) -> str:
-    # no code point is both alphanumeric and punctuation, so a token with an
-    # alphanumeric first and last character has nothing to strip; tokens come
-    # from str.split() and are never empty
-    if token[0].isalnum() and token[-1].isalnum():
-        return token
     start, end = 0, len(token)
     while start < end and unicodedata.category(token[start]).startswith("P"):
         start += 1
@@ -87,7 +86,15 @@ def tokenize(text: str, config: PipelineConfig) -> list:
     and lowercasing. Tokens emptied by punctuation stripping are dropped."""
     tokens = text.split()
     if config.strip_punctuation:
-        tokens = [tok for raw in tokens if (tok := _strip_boundary_punctuation(raw))]
+        # no code point is both alphanumeric and punctuation, so a token with an
+        # alphanumeric first and last character has nothing to strip; tokens
+        # come from str.split() and are never empty
+        strip = _strip_boundary_punctuation
+        tokens = [
+            tok
+            for raw in tokens
+            if (tok := raw if raw[0].isalnum() and raw[-1].isalnum() else strip(raw))
+        ]
     if config.lowercase:
         tokens = [tok.lower() for tok in tokens]
     return tokens
@@ -107,8 +114,8 @@ def build_stop_list(corpus: Iterable[list], n: int) -> StopList:
         counts.update(stream)
     if n_docs == 0:
         raise ValueError("corpus must be non-empty")
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return StopList(frozenset(tok for tok, _ in ranked[:n]), origin=f"frequency({n})")
+    top = heapq.nsmallest(n, counts.items(), key=lambda item: (-item[1], item[0]))
+    return StopList(frozenset(tok for tok, _ in top), origin=f"frequency({n})")
 
 
 def read_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
@@ -136,6 +143,22 @@ def read_file_lines(path: Union[str, Path]) -> Iterator[Tuple[int, str]]:
             raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
+def read_stdin_lines(stdin) -> Iterator[Tuple[int, str]]:
+    """``read_lines`` over ``stdin`` decoded as UTF-8 whatever the locale, with
+    universal newlines. A line whose bytes are not UTF-8 fails at ``stdin``,
+    after the lines before it."""
+    if isinstance(stdin, io.TextIOWrapper):
+        # undecodable bytes become lone surrogates, so each line is checked
+        # as it comes rather than each buffered chunk as it is read
+        stdin.reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)
+    for number, line in read_lines(stdin):
+        try:
+            line.encode(errors="surrogateescape").decode()
+        except UnicodeError as exc:
+            raise ValueError(f"stdin: not UTF-8 text ({exc})") from exc
+        yield number, line
+
+
 def load_stop_list(path: Union[str, Path]) -> StopList:
     """Load a dictionary stop list: one word per line, ``#`` comments ignored,
     trailing whitespace trimmed."""
@@ -159,12 +182,19 @@ def ngrams(stream: list, n: int) -> list:
 def run_pipeline(
     text: str, config: PipelineConfig, stops: Optional[StopList] = None
 ) -> list:
-    """Apply tokenize, stop-word removal, stemming and n-gram expansion.
+    """Apply tokenize, stop-word removal, stemming and n-gram expansion."""
+    return run_stages(tokenize(text, config), config, stops)
+
+
+def run_stages(
+    stream: list, config: PipelineConfig, stops: Optional[StopList] = None
+) -> list:
+    """Apply stop-word removal, stemming and n-gram expansion to the tokens
+    of one text.
 
     ``stops`` is required when the config enables stop-word removal. Stems
     that come back empty (bare "s") are dropped to keep streams well-formed.
     """
-    stream = tokenize(text, config)
     if config.stop_word_mode != "none":
         if stops is None:
             raise ValueError(

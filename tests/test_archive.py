@@ -1,13 +1,17 @@
 """Save/load fidelity: identical decisions and log-scores after a round trip."""
 
+import io
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbtext.archive import (
     FORMAT_VERSION,
+    VARIANTS,
     ArchiveError,
     ModelArchive,
     load_archive,
@@ -360,3 +364,69 @@ def test_constant_feature_keeps_the_sigma_floor(tmp_path):
     at_mean = posterior_scores(model, [3.0, 0.5]).log_scores["a"]
     one_off = posterior_scores(model, [4.0, 0.5]).log_scores["a"]
     assert at_mean - one_off == pytest.approx(0.5e18, rel=1e-9)
+
+
+def test_archive_bytes_match_the_stream_encoder(tmp_path):
+    # non-ASCII tokens, tf-idf float sums and a frequency stop list
+    texts = [
+        "Café naïve ÜBER straße! free prize",
+        "日本語 «quoted» café, free",
+        "free prize: WIN a café now",
+        "Straße über alles; naïve naïve",
+    ]
+    config = PipelineConfig(stop_word_mode="frequency", frequency_top_n=2)
+    archive = train("multinomial", ["a", "b", "b", "a"], texts, 0.5, config, TFIDF)
+    path = tmp_path / "model.json"
+    save_archive(archive, path)
+    text = path.read_text(encoding="utf-8")
+    assert "café" in text and "日本語" in text
+    stream = io.StringIO()
+    json.dump(json.loads(text), stream, ensure_ascii=False)
+    stream.write("\n")
+    assert path.read_bytes() == stream.getvalue().encode("utf-8")
+
+
+def _outcome(fit):
+    try:
+        return fit()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(
+        st.text(alphabet=st.sampled_from("abcAB sS.,!'-éÉßİ日\t"), max_size=30),
+        min_size=1,
+        max_size=12,
+    ),
+    top_n=st.integers(min_value=1, max_value=6),
+    stemming=st.booleans(),
+    ngram_size=st.sampled_from([1, 2]),
+    variant=st.sampled_from(["multinomial", "bernoulli"]),
+)
+def test_frequency_train_matches_the_two_pass_reference(
+    texts, top_n, stemming, ngram_size, variant
+):
+    config = PipelineConfig(
+        stop_word_mode="frequency",
+        frequency_top_n=top_n,
+        stemming=stemming,
+        ngram_size=ngram_size,
+    )
+    labels = ["x" if i % 3 else "y" for i in range(len(texts))]
+    weighting = VARIANTS[variant].weightings[0]
+
+    def reference():
+        stops = build_stop_list([tokenize(t, config) for t in texts], top_n)
+        streams = [run_pipeline(t, config, stops) for t in texts]
+        vocab = build_vocabulary(streams)
+        vecs = [vectorize(s, vocab, weighting) for s in streams]
+        if variant == "bernoulli":
+            model = fit_bernoulli(vecs, labels, vocab)
+        else:
+            model = fit_multinomial(vecs, labels, vocab, alpha=1.0)
+        return ModelArchive(variant, model, config, vocab, weighting, stops)
+
+    expected = _outcome(reference)
+    assert _outcome(lambda: train(variant, labels, texts, 1.0, config)) == expected

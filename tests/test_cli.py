@@ -345,6 +345,24 @@ class TestPredict:
             finally:
                 proc.kill()
 
+    def test_undecodable_stdin_line_fails_after_earlier_answers(
+        self, tmp_path, corpus_path
+    ):
+        model_path = _train(tmp_path, corpus_path)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, LC_ALL="C")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-m", "nbtext.cli", "predict", "--model", str(model_path)],
+            input=b"free prize\r\nsee you at dinner tonight\r\xff caf\nfree prize\n",
+            capture_output=True, env=env, timeout=60,
+        )
+        assert res.returncode == 1
+        # a lone CR ends a line, as in universal newlines
+        assert res.stdout == b"spam\nham\n"
+        assert res.stderr.startswith(b"error: stdin: not UTF-8 text (")
+        assert b"0xff" in res.stderr and res.stderr.count(b"\n") == 1
+
     def test_single_argument(self, tmp_path, corpus_path, capsys):
         model_path = _train(tmp_path, corpus_path)
         capsys.readouterr()

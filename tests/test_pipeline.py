@@ -3,6 +3,7 @@
 import string
 import sys
 import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,17 @@ class TestStopWords:
         it = iter(stream)
         assert all(tok in it for tok in out)
         assert not set(out) & words
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from("abcdef")), min_size=1),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_matches_a_full_sort(self, corpus, n):
+        counts = Counter(tok for stream in corpus for tok in stream)
+        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        expected = frozenset(tok for tok, _ in ranked[:n])
+        assert build_stop_list(corpus, n).words == expected
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "stops.txt"
