@@ -242,18 +242,16 @@ def train(
         return ModelArchive(variant, fit_categorical(inputs, labels, alpha))
     if variant == "gaussian":
         return ModelArchive(variant, fit_gaussian(inputs, labels))
+    # each text is tokenized once, its list sharing one string per distinct token
+    # until the stages run, which keeps peak memory near that of the finished streams
+    canon = {}
+    tokenized = (tokenize(text, pipeline_config) for text in inputs)
+    streams = [list(map(canon.setdefault, t, t)) for t in tokenized]
+    del canon  # the stages allocate into the memory it frees
     if stops is None and pipeline_config.stop_word_mode == "frequency":
-        # each text is tokenized once; until the stop list is built the token
-        # lists share one string per distinct token, which keeps peak memory
-        # near that of the finished streams
-        canon = {}
-        tokenized = (tokenize(text, pipeline_config) for text in inputs)
-        streams = [list(map(canon.setdefault, t, t)) for t in tokenized]
         stops = build_stop_list(streams, pipeline_config.frequency_top_n)
-        for i, tokens in enumerate(streams):
-            streams[i] = run_stages(tokens, pipeline_config, stops)
-    else:
-        streams = [run_pipeline(text, pipeline_config, stops) for text in inputs]
+    for i, tokens in enumerate(streams):
+        streams[i] = run_stages(tokens, pipeline_config, stops)
     vocab = build_vocabulary(streams)
     vectors = [vectorize(s, vocab, weighting) for s in streams]
     if variant == "bernoulli":

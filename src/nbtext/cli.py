@@ -190,7 +190,8 @@ def cmd_predict(args) -> int:
     archive = load_archive(args.model)
     # stdin is read lazily and each answer flushed, so a line is answered
     # as soon as it arrives
-    lines = read_lines([args.text]) if args.text is not None else read_stdin_lines(sys.stdin)
+    lines = (read_stdin_lines(sys.stdin) if args.text is None
+             else read_lines([args.text], "text argument"))
     for _, line in lines:
         report = posterior_scores(archive.model, archive.encode(line))
         if report.degenerate_evidence:
@@ -212,6 +213,8 @@ def cmd_evaluate(args) -> int:
     settings = _TrainSettings(args)
     if not 0.0 < args.test_fraction < 1.0:
         raise _UsageError("--test-fraction must be strictly between 0 and 1")
+    if len(str(args.seed)) > 64:  # the split's blake2b key holds at most 64 bytes
+        raise _UsageError("--seed must fit in 64 characters, sign included")
     labels, inputs = settings.load_data(args.input)
     train_idx, test_idx = split_indices(len(inputs), args.test_fraction, args.seed)
     archive = settings.fit([labels[i] for i in train_idx], [inputs[i] for i in train_idx])

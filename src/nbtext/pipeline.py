@@ -118,45 +118,38 @@ def build_stop_list(corpus: Iterable[list], n: int) -> StopList:
     return StopList(frozenset(tok for tok, _ in top), origin=f"frequency({n})")
 
 
-def read_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
+def read_lines(lines: Iterable[str], name: str = "input") -> Iterator[Tuple[int, str]]:
     """Yield ``(line number, line)`` for each line holding more than whitespace,
-    without its trailing newline and, on line 1, a byte-order mark. Numbers
-    count from 1 and include skipped lines. Every line nbtext reads comes here."""
+    less its newline and, on line 1, a byte-order mark; skipped lines are counted.
+    A line that is not UTF-8 fails at ``name``. Every line nbtext reads comes here."""
     for number, line in enumerate(lines, start=1):
         if number == 1:
             line = line.removeprefix("\ufeff")
         if line.strip():
+            # undecodable bytes come as lone surrogates, so each line is checked
+            # as it comes rather than each buffered chunk as it is read
+            try:
+                line.encode(errors="surrogateescape").decode()
+            except UnicodeError as exc:
+                raise ValueError(f"{name}: not UTF-8 text (line {number}: {exc})") from exc
             yield number, line.rstrip("\n")
 
 
 def read_file_lines(path: Union[str, Path]) -> Iterator[Tuple[int, str]]:
     """``read_lines`` over the UTF-8 file at ``path``, split at LF only, less one
-    trailing CR. Any other CR fails at ``path:line``; bytes that are not UTF-8 fail
-    at ``path``, as decoding runs ahead of the lines. Input files open here."""
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        try:
-            for number, line in read_lines(fh):
-                if "\r" in line[:-1]:
-                    raise ValueError(f"{path}:{number}: carriage return inside a line")
-                yield number, line.removesuffix("\r")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
+    trailing CR. Any other CR fails at ``path:line``. Input files open here."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        for number, line in read_lines(fh, str(path)):
+            if "\r" in line[:-1]:
+                raise ValueError(f"{path}:{number}: carriage return inside a line")
+            yield number, line.removesuffix("\r")
 
 
 def read_stdin_lines(stdin) -> Iterator[Tuple[int, str]]:
-    """``read_lines`` over ``stdin`` decoded as UTF-8 whatever the locale, with
-    universal newlines. A line whose bytes are not UTF-8 fails at ``stdin``,
-    after the lines before it."""
+    """``read_lines`` over ``stdin``, decoded as UTF-8 in any locale, universal newlines."""
     if isinstance(stdin, io.TextIOWrapper):
-        # undecodable bytes become lone surrogates, so each line is checked
-        # as it comes rather than each buffered chunk as it is read
         stdin.reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)
-    for number, line in read_lines(stdin):
-        try:
-            line.encode(errors="surrogateescape").decode()
-        except UnicodeError as exc:
-            raise ValueError(f"stdin: not UTF-8 text ({exc})") from exc
-        yield number, line
+    return read_lines(stdin, "stdin")
 
 
 def load_stop_list(path: Union[str, Path]) -> StopList:

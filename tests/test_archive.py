@@ -430,3 +430,49 @@ def test_frequency_train_matches_the_two_pass_reference(
 
     expected = _outcome(reference)
     assert _outcome(lambda: train(variant, labels, texts, 1.0, config)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(
+        st.text(alphabet=st.sampled_from("abcAB sS.,!'-éÉßİ日\t"), max_size=30),
+        min_size=1,
+        max_size=12,
+    ),
+    mode=st.sampled_from(["none", "dictionary", "frequency"]),
+    words=st.frozensets(st.sampled_from(["a", "b", "ab", "s", "é", "ß", "日"]), max_size=4),
+    stemming=st.booleans(),
+    ngram_size=st.sampled_from([1, 2]),
+    variant_weighting=st.sampled_from(
+        [(v, w) for v in ("multinomial", "bernoulli") for w in VARIANTS[v].weightings]
+    ),
+)
+def test_train_matches_the_per_text_reference(
+    texts, mode, words, stemming, ngram_size, variant_weighting
+):
+    """With the stop list given (or none needed), train encodes each text as
+    run_pipeline does on its own."""
+    variant, weighting = variant_weighting
+    config = PipelineConfig(
+        stop_word_mode=mode,
+        frequency_top_n=2 if mode == "frequency" else None,
+        stemming=stemming,
+        ngram_size=ngram_size,
+    )
+    origin = "dictionary" if mode == "dictionary" else "frequency(2)"
+    stops = StopList(words, origin=origin) if mode != "none" else None
+    labels = ["x" if i % 3 else "y" for i in range(len(texts))]
+
+    def reference():
+        streams = [run_pipeline(t, config, stops) for t in texts]
+        vocab = build_vocabulary(streams)
+        vecs = [vectorize(s, vocab, weighting) for s in streams]
+        if variant == "bernoulli":
+            model = fit_bernoulli(vecs, labels, vocab)
+        else:
+            model = fit_multinomial(vecs, labels, vocab, alpha=1.0)
+        return ModelArchive(variant, model, config, vocab, weighting, stops)
+
+    expected = _outcome(reference)
+    fit = _outcome(lambda: train(variant, labels, texts, 1.0, config, weighting, stops))
+    assert fit == expected

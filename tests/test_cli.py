@@ -745,6 +745,28 @@ class TestEvaluate:
         assert doc == expected.to_json_dict()
         assert f"trained on {len(train_part)} documents" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed,code", [
+        ("9" * 64, 0), ("-" + "9" * 63, 0), ("-" + "9" * 64, 2), ("1" + "0" * 72, 2),
+    ])
+    def test_seed_fits_the_split_key(self, tmp_path, corpus_path, capsys, seed, code):
+        report_path = tmp_path / "report.json"
+        argv = ["evaluate", "--input", str(corpus_path), "--variant", "multinomial",
+                "--seed", seed, "--report-out", str(report_path)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: --seed must fit in 64 characters, sign included\n"
+            return
+        # a seed that fits splits as split() does with it
+        train_part, test_part = split(load_corpus(corpus_path), 0.2, int(seed))
+        archive = train(
+            "multinomial",
+            [label for label, _ in train_part.documents],
+            [text for _, text in train_part.documents],
+        )
+        expected = evaluate(archive, test_part.documents).to_json_dict()
+        assert json.loads(report_path.read_text(encoding="utf-8")) == expected
+
     def test_fraction_validation(self, corpus_path):
         code = main(
             ["evaluate", "--input", str(corpus_path), "--variant", "multinomial",
@@ -777,6 +799,37 @@ class TestEvaluate:
         assert code == 0
         out = capsys.readouterr().out
         assert "accuracy:" in out
+
+
+@pytest.mark.parametrize("source", ["file", "stdin", "argument"])
+def test_undecodable_line_names_its_source_and_line(tmp_path, corpus_path, source):
+    """Files, stdin and the text argument share one UTF-8 rule, whatever the
+    locale: the first line that is not UTF-8 fails at its source and number."""
+    model_path = _train(tmp_path, corpus_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, LC_ALL="C")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "nbtext.cli", "predict", "--model", str(model_path)]
+    stdin, stdout = b"", b""
+    if source == "file":
+        bad = tmp_path / "bad.tsv"
+        lines = corpus_path.read_bytes().splitlines(keepends=True)
+        bad.write_bytes(b"".join([*lines[:2], b"spam\t\xff caf free\n", *lines[2:]]))
+        argv[3:] = ["train", "--input", str(bad), "--model", str(tmp_path / "m"),
+                    "--variant", "multinomial"]
+        name, number = str(bad), 3
+    elif source == "stdin":
+        stdin, stdout = b"free prize\n\n\xff caf free\nfree prize\n", b"spam\n"
+        name, number = "stdin", 3
+    else:
+        argv.append(b"\xff caf free")
+        name, number = "text argument", 1
+    res = subprocess.run(argv, input=stdin, capture_output=True, env=env, timeout=60)
+    assert res.returncode == 1
+    assert res.stdout == stdout
+    prefix = f"error: {name}: not UTF-8 text (line {number}: ".encode()
+    assert res.stderr.startswith(prefix) and res.stderr.endswith(b")\n")
+    assert res.stderr.count(b"\n") == 1 and b"0xff" in res.stderr
 
 
 class TestInspect:
