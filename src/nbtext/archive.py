@@ -18,10 +18,11 @@ from .models import (
     GaussianModel,
     MultinomialModel,
     NaiveBayesModel,
-    fit_bernoulli,
+    bernoulli_from_entries,
+    check_alpha,
     fit_categorical,
     fit_gaussian,
-    fit_multinomial,
+    multinomial_from_entries,
 )
 from .pipeline import (
     PipelineConfig,
@@ -38,8 +39,9 @@ from .vectorize import (
     TFIDF,
     SparseVector,
     Vocabulary,
-    build_vocabulary,
+    VocabularyCounter,
     vectorize,
+    weigh,
 )
 
 __all__ = [
@@ -81,9 +83,8 @@ class Variant:
 
     def check(self, weighting: Optional[str], alpha) -> Optional[str]:
         """The weighting to train with (None: the default); ValueError if not taken."""
-        finite = type(alpha) in (int, float) and 0 <= alpha < math.inf
-        if self.smoothed and not finite:
-            raise ValueError(f"alpha must be a finite number >= 0, got {alpha!r}")
+        if self.smoothed:
+            check_alpha(alpha)
         if weighting is None:
             return self.weightings[0] if self.text else None
         if weighting not in self.weightings:
@@ -231,8 +232,13 @@ def train(
     (None: the variant's default); otherwise rows of cells, parsed by the
     cell rule of ``encode``, and the pipeline settings are ignored. A config
     asking for a frequency stop list with ``stops`` None builds it from the
-    texts. Variants that smooth with ``alpha`` need a finite number >= 0; the
-    others ignore it. Raises ValueError for what the variant does not take.
+    texts. Each text is counted once: its tokens become vocabulary ids as its
+    stages finish, and each id list, weighted by ``weigh``, goes straight into
+    the class sums. The model is the one ``fit_bernoulli`` or
+    ``fit_multinomial`` gives over ``build_vocabulary`` and ``vectorize``.
+    Variants that smooth with ``alpha`` need a finite number >= 0 that keeps
+    their smoothed denominators finite; the others ignore it. Raises
+    ValueError for what the variant does not take.
     """
     spec = _variant_spec(variant)
     weighting = spec.check(weighting, alpha)
@@ -250,14 +256,21 @@ def train(
     del canon  # the stages allocate into the memory it frees
     if stops is None and pipeline_config.stop_word_mode == "frequency":
         stops = build_stop_list(streams, pipeline_config.frequency_top_n)
+    # the id lists replace the token lists, so each text's strings are freed
+    # as its ids are counted
+    counter = VocabularyCounter()
     for i, tokens in enumerate(streams):
-        streams[i] = run_stages(tokens, pipeline_config, stops)
-    vocab = build_vocabulary(streams)
-    vectors = [vectorize(s, vocab, weighting) for s in streams]
+        streams[i] = counter.add(run_stages(tokens, pipeline_config, stops))
+    vocab = counter.vocabulary()
+    del counter  # the class sums allocate into the memory its tables free
+
+    def entries(ids):
+        return weigh(ids, len(ids), vocab, weighting)
+
     if variant == "bernoulli":
-        model = fit_bernoulli(vectors, labels, vocab)
+        model = bernoulli_from_entries(streams, labels, len(vocab), entries)
     else:
-        model = fit_multinomial(vectors, labels, vocab, alpha)
+        model = multinomial_from_entries(streams, labels, len(vocab), alpha, entries)
     return ModelArchive(variant, model, pipeline_config, vocab, weighting, stops)
 
 
@@ -294,7 +307,8 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the decoder's depth
         raise ArchiveError(f"not a model archive (invalid JSON): {exc}") from exc
     try:
         version = doc["format_version"]

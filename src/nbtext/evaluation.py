@@ -89,11 +89,8 @@ def load_row_corpus(path: Union[str, Path], cell=str) -> Tuple[List[list], List[
     return rows, labels
 
 
-def _index_digest(seed: int, index: int) -> bytes:
-    h = hashlib.blake2b(
-        str(index).encode("ascii"), digest_size=8, key=str(seed).encode("ascii")
-    )
-    return h.digest()
+def _index_digest(key: bytes, index: int) -> bytes:
+    return hashlib.blake2b(str(index).encode("ascii"), digest_size=8, key=key).digest()
 
 
 def split_indices(
@@ -109,7 +106,10 @@ def split_indices(
     n_test = int(n * test_fraction + 0.5)
     if n_test == 0 or n_test == n:
         raise ValueError("split would leave an empty partition")
-    order = sorted(range(n), key=lambda i: (_index_digest(seed, i), i))
+    key = str(seed).encode("ascii")
+    if len(key) > 64:  # blake2b's limit on a key
+        raise ValueError(f"seed {seed!r} is too long: the split key holds 64 bytes at most")
+    order = sorted(range(n), key=lambda i: (_index_digest(key, i), i))
     return sorted(order[n_test:]), sorted(order[:n_test])
 
 

@@ -9,10 +9,11 @@ conditionals mapping to -inf rather than raising.
 """
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .vectorize import SparseVector, Vocabulary
 
@@ -24,10 +25,13 @@ __all__ = [
     "GaussianModel",
     "PosteriorReport",
     "NaiveBayesModel",
+    "check_alpha",
     "fit_priors",
     "fit_categorical",
     "fit_bernoulli",
     "fit_multinomial",
+    "bernoulli_from_entries",
+    "multinomial_from_entries",
     "fit_gaussian",
     "gaussian_log_density",
     "log_likelihood",
@@ -37,6 +41,8 @@ __all__ = [
 ]
 
 _PRIOR_SUM_TOL = 1e-12
+
+_vector_entries = operator.attrgetter("entries")
 
 
 class _Row(list):
@@ -53,6 +59,19 @@ LinearForm = Tuple[float, Union[Dict[int, float], _Row], float]
 
 def _log(p: float) -> float:
     return math.log(p) if p > 0 else -math.inf
+
+
+def check_alpha(alpha, totals=(), size: int = 0) -> None:
+    """Additive smoothing's rule: ``alpha`` is a finite int or float >= 0, and
+    every smoothed denominator ``total + alpha * size`` stays finite."""
+    if type(alpha) not in (int, float) or not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number >= 0, got {alpha!r}")
+    try:
+        finite = math.isfinite(max(totals, default=0) + alpha * size)
+    except OverflowError:  # an int total past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"alpha {alpha!r} is too large: a smoothed denominator overflows")
 
 
 @dataclass(frozen=True)
@@ -136,6 +155,9 @@ class CategoricalModel:
                     raise ValueError(
                         f"value_counts[{i}][{label!r}] must sum to class_counts[{label!r}]"
                     )
+        # a value a position never saw adds one to the size of its domain
+        size = max(map(len, self.domains), default=0) + 1
+        check_alpha(self.alpha, self.class_counts.values(), size)
 
     @property
     def n_positions(self) -> int:
@@ -165,8 +187,6 @@ class CategoricalModel:
 def fit_categorical(
     samples: Sequence[Sequence[str]], labels: Sequence[str], alpha: float = 0.0
 ) -> CategoricalModel:
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
     if len(samples) != len(labels):
         raise ValueError("samples and labels must have equal length")
     priors = fit_priors(labels)
@@ -233,26 +253,36 @@ class BernoulliModel:
         return out
 
 
+def bernoulli_from_entries(
+    docs: Sequence,
+    labels: Sequence[str],
+    vocab_size: int,
+    entries: Callable[..., Dict[int, float]],
+) -> BernoulliModel:
+    """Count, per class, the documents that hold each token id; ``entries(doc)``
+    gives a document's id -> weight table, whose weights are not read."""
+    if len(docs) != len(labels):
+        raise ValueError("vectors and labels must have equal length")
+    priors = fit_priors(labels)
+    doc_counts = {lab: [0] * vocab_size for lab in priors.labels}
+    class_docs = {lab: 0 for lab in priors.labels}
+    for doc, lab in zip(docs, labels):
+        class_docs[lab] += 1
+        row = doc_counts[lab]
+        for token_id in entries(doc):
+            row[token_id] += 1
+    return BernoulliModel(priors, doc_counts, class_docs, vocab_size)
+
+
 def fit_bernoulli(
     binary_vectors: Sequence[SparseVector],
     labels: Sequence[str],
     vocab: Vocabulary,
 ) -> BernoulliModel:
-    if len(binary_vectors) != len(labels):
-        raise ValueError("vectors and labels must have equal length")
     for vec in binary_vectors:
         if any(v != 1 for v in vec.entries.values()):
             raise ValueError("bernoulli fitting requires binary vectors")
-    priors = fit_priors(labels)
-    V = len(vocab)
-    doc_counts = {lab: [0] * V for lab in priors.labels}
-    class_docs = {lab: 0 for lab in priors.labels}
-    for vec, lab in zip(binary_vectors, labels):
-        class_docs[lab] += 1
-        row = doc_counts[lab]
-        for token_id in vec.entries:
-            row[token_id] += 1
-    return BernoulliModel(priors, doc_counts, class_docs, V)
+    return bernoulli_from_entries(binary_vectors, labels, len(vocab), _vector_entries)
 
 
 @dataclass(frozen=True)
@@ -293,6 +323,7 @@ class MultinomialModel:
                 raise ValueError(
                     f"class_totals[{label!r}] must be the sum of tf_sums[{label!r}]"
                 )
+        check_alpha(self.alpha, self.class_totals.values(), self.vocab_size)
 
     def conditional(self, label: str, token_id: int) -> float:
         """Smoothed P(token | class) per the additive estimator; 0/0 gives 0."""
@@ -313,25 +344,39 @@ class MultinomialModel:
         return out
 
 
+def multinomial_from_entries(
+    docs: Sequence,
+    labels: Sequence[str],
+    vocab_size: int,
+    alpha: float,
+    entries: Callable[..., Dict[int, float]],
+) -> MultinomialModel:
+    """Sum, per class, the weight of each token id over the documents, in
+    document then entry order; ``entries(doc)`` gives a document's id -> weight
+    table."""
+    if len(docs) != len(labels):
+        raise ValueError("vectors and labels must have equal length")
+    priors = fit_priors(labels)
+    tf_sums: Dict[str, Dict[int, float]] = {lab: {} for lab in priors.labels}
+    class_totals: Dict[str, float] = {lab: 0.0 for lab in priors.labels}
+    for doc, lab in zip(docs, labels):
+        sums = tf_sums[lab]
+        total = class_totals[lab]
+        for token_id, weight in entries(doc).items():
+            sums[token_id] = sums.get(token_id, 0.0) + weight
+            total += weight
+        class_totals[lab] = total
+    return MultinomialModel(priors, tf_sums, class_totals, vocab_size, alpha)
+
+
 def fit_multinomial(
     count_vectors: Sequence[SparseVector],
     labels: Sequence[str],
     vocab: Vocabulary,
     alpha: float = 1.0,
 ) -> MultinomialModel:
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if len(count_vectors) != len(labels):
-        raise ValueError("vectors and labels must have equal length")
-    priors = fit_priors(labels)
-    tf_sums: Dict[str, Dict[int, float]] = {lab: {} for lab in priors.labels}
-    class_totals: Dict[str, float] = {lab: 0.0 for lab in priors.labels}
-    for vec, lab in zip(count_vectors, labels):
-        sums = tf_sums[lab]
-        for token_id, weight in vec.entries.items():
-            sums[token_id] = sums.get(token_id, 0.0) + weight
-            class_totals[lab] += weight
-    return MultinomialModel(priors, tf_sums, class_totals, len(vocab), alpha)
+    vocab_size = len(vocab)
+    return multinomial_from_entries(count_vectors, labels, vocab_size, alpha, _vector_entries)
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,17 @@ Weighting modes: binary presence, raw term counts, length-normalized term
 frequency, and tf-idf (normalized tf times inverse document frequency).
 Out-of-vocabulary tokens never enter a vector's entries but still count
 toward its doc_length, so normalized tf uses the true document length.
+``VocabularyCounter`` and ``weigh`` are the counting and weighting steps
+that ``build_vocabulary`` and ``vectorize`` share with ``archive.train``.
 """
 
+import itertools
 import math
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "BINARY",
@@ -20,7 +24,9 @@ __all__ = [
     "WEIGHTING_MODES",
     "Vocabulary",
     "SparseVector",
+    "VocabularyCounter",
     "build_vocabulary",
+    "weigh",
     "vectorize",
     "idf",
     "dump_vocabulary",
@@ -64,6 +70,13 @@ class Vocabulary:
     def __contains__(self, token):
         return token in self.token_to_id
 
+    @cached_property
+    def idf_table(self) -> List[float]:
+        """ln(total_documents / df) per id, the log of each distinct df taken once."""
+        total, df = self.total_documents, self.document_frequency
+        logs = {n: math.log(total / n) for n in set(df)}
+        return list(map(logs.__getitem__, df))
+
     def id_to_token(self) -> List[str]:
         out = [""] * len(self.token_to_id)
         for tok, i in self.token_to_id.items():
@@ -89,51 +102,74 @@ class SparseVector:
             raise ValueError("doc_length must be nonnegative")
 
 
+class VocabularyCounter:
+    """Builds a vocabulary one token stream at a time: ids go to tokens in order
+    of first appearance, and each stream's distinct ids count toward their
+    document frequencies."""
+
+    def __init__(self):
+        self._ids = defaultdict(itertools.count().__next__)
+        self._df = Counter()
+        self._n_docs = 0
+
+    def add(self, stream: list) -> List[int]:
+        """Count ``stream`` and return it as a list of vocabulary ids."""
+        ids = list(map(self._ids.__getitem__, stream))
+        self._df.update(set(ids))
+        self._n_docs += 1
+        return ids
+
+    def vocabulary(self) -> Vocabulary:
+        if self._n_docs == 0:
+            raise ValueError("corpus must be non-empty")
+        df = list(map(self._df.__getitem__, range(len(self._ids))))
+        return Vocabulary(dict(self._ids), df, self._n_docs)
+
+
 def build_vocabulary(corpus: Iterable[list]) -> Vocabulary:
     """Scan token streams, assigning ids by first appearance and counting
     per-token document frequency (documents, not occurrences)."""
-    token_to_id: Dict[str, int] = {}
-    df: List[int] = []
-    n_docs = 0
-    for n_docs, stream in enumerate(corpus, start=1):
-        for tok in dict.fromkeys(stream):
-            i = token_to_id.setdefault(tok, len(df))
-            if i == len(df):
-                df.append(0)
-            df[i] += 1
-    if n_docs == 0:
-        raise ValueError("corpus must be non-empty")
-    return Vocabulary(token_to_id, df, n_docs)
+    counter = VocabularyCounter()
+    for stream in corpus:
+        counter.add(stream)
+    return counter.vocabulary()
 
 
 def idf(vocab: Vocabulary, token_id: int) -> float:
     """Natural-log inverse document frequency, ln(n_docs / df)."""
     if not 0 <= token_id < len(vocab.document_frequency):
         raise ValueError(f"unknown token id: {token_id}")
-    return math.log(vocab.total_documents / vocab.document_frequency[token_id])
+    return vocab.idf_table[token_id]
+
+
+def weigh(
+    ids: Iterable[Optional[int]], n_d: int, vocab: Vocabulary, mode: str
+) -> Dict[int, float]:
+    """One document's entries under ``mode``: its vocabulary ids (None for an
+    out-of-vocabulary token) in order of first appearance, each with its
+    weight. ``n_d`` is the document's token count, out-of-vocabulary tokens
+    included. tf-idf weights that come out exactly zero (a term present in
+    every training document) are dropped to keep entries strictly positive."""
+    if mode not in WEIGHTING_MODES:
+        raise ValueError(f"unknown weighting mode: {mode!r}")
+    counts = Counter(ids)
+    counts.pop(None, None)
+    if mode == BINARY:
+        return dict.fromkeys(counts, 1)
+    if mode == RAW_COUNT:
+        return dict(counts)
+    if mode == NORMALIZED_TF:
+        return {i: tf / n_d for i, tf in counts.items()}
+    idf_of = vocab.idf_table
+    return {i: w for i, tf in counts.items() if (w := (tf / n_d) * idf_of[i]) > 0}
 
 
 def vectorize(stream: list, vocab: Vocabulary, mode: str) -> SparseVector:
-    """Convert a token stream to a sparse vector under the given weighting.
-
-    Tokens absent from the vocabulary are skipped; doc_length still counts
-    them. tf-idf entries that come out exactly zero (a term present in every
-    training document) are dropped to keep entries strictly positive.
-    """
-    if mode not in WEIGHTING_MODES:
-        raise ValueError(f"unknown weighting mode: {mode!r}")
-    n_d = len(stream)
-    counts = Counter(map(vocab.token_to_id.get, stream))
-    counts.pop(None, None)  # out-of-vocabulary tokens
-    if mode == BINARY:
-        entries = dict.fromkeys(counts, 1)
-    elif mode == RAW_COUNT:
-        entries = dict(counts)
-    elif mode == NORMALIZED_TF:
-        entries = {i: tf / n_d for i, tf in counts.items()}
-    else:
-        entries = {i: w for i, tf in counts.items() if (w := (tf / n_d) * idf(vocab, i)) > 0}
-    return SparseVector(entries, n_d)
+    """Convert a token stream to a sparse vector under the given weighting
+    (see ``weigh``); tokens absent from the vocabulary are skipped, and
+    doc_length still counts them. tf-idf reads the vocabulary's idf table."""
+    entries = weigh(map(vocab.token_to_id.get, stream), len(stream), vocab, mode)
+    return SparseVector(entries, len(stream))
 
 
 def dump_vocabulary(vocab: Vocabulary) -> str:

@@ -1,5 +1,6 @@
 """Save/load fidelity: identical decisions and log-scores after a round trip."""
 
+import dataclasses
 import io
 import json
 import math
@@ -476,3 +477,100 @@ def test_train_matches_the_per_text_reference(
     expected = _outcome(reference)
     fit = _outcome(lambda: train(variant, labels, texts, 1.0, config, weighting, stops))
     assert fit == expected
+
+
+# Archives that train + save_archive wrote on sample_messages.tsv before train
+# counted each document in one pass: every text weighting, with stemming on and
+# off, frequency stop words and bigrams. The counting must not move a byte.
+GOLDEN_CONFIGS = {
+    "plain": PipelineConfig(),
+    "stem-top5": PipelineConfig(stemming=True, stop_word_mode="frequency", frequency_top_n=5),
+    "top3-bigrams": PipelineConfig(stop_word_mode="frequency", frequency_top_n=3, ngram_size=2),
+    "stem-top5-bigrams": STEM_TOP5_BIGRAMS,
+}
+GOLDEN_CASES = [
+    (variant, weighting, name)
+    for variant in ("bernoulli", "multinomial")
+    for weighting in VARIANTS[variant].weightings
+    for name in GOLDEN_CONFIGS
+]
+
+
+def _golden_path(data_dir, variant, weighting, name):
+    return data_dir / "golden_archives" / f"{variant}-{weighting}-{name}.json"
+
+
+@pytest.mark.parametrize("variant,weighting,name", GOLDEN_CASES)
+def test_train_reproduces_the_golden_archive(tmp_path, data_dir, variant, weighting, name):
+    labels, texts = _training_data(variant, data_dir, None)
+    archive = train(variant, labels, texts, 1.0, GOLDEN_CONFIGS[name], weighting)
+    save_archive(archive, tmp_path / "model.json")
+    golden = _golden_path(data_dir, variant, weighting, name)
+    assert (tmp_path / "model.json").read_bytes() == golden.read_bytes()
+
+
+def _ordered(value):
+    """``value`` with every dict, nested too, as a list of items and every
+    other value paired with its type, so that comparing two of them compares
+    key order and value types as well (1 == 1.0, but not as (int, 1))."""
+    if isinstance(value, dict):
+        return [(_ordered(key), _ordered(v)) for key, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_ordered(v) for v in value]
+    return type(value), value
+
+
+def _text_fields(archive):
+    model, vocab = archive.model, archive.vocab
+    return {
+        "priors": _ordered(dataclasses.asdict(model.priors)),
+        "model": {f.name: _ordered(getattr(model, f.name)) for f in dataclasses.fields(model)[1:]},
+        "token_to_id": _ordered(vocab.token_to_id),
+        "document_frequency": vocab.document_frequency,
+        "total_documents": vocab.total_documents,
+        "rest": (archive.variant, archive.pipeline_config, archive.weighting, archive.stops),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(
+        st.text(alphabet=st.sampled_from("abcdAB sS.,!'-éß日\t"), max_size=40),
+        min_size=1,
+        max_size=15,
+    ),
+    label_picks=st.lists(st.sampled_from(["x", "y", "z"]), min_size=15, max_size=15),
+    stop_top_n=st.sampled_from([None, 1, 3]),
+    stemming=st.booleans(),
+    ngram_size=st.sampled_from([1, 2, 3]),
+    variant_weighting=st.sampled_from(
+        [(v, w) for v in ("multinomial", "bernoulli") for w in VARIANTS[v].weightings]
+    ),
+    alpha=st.sampled_from([0, 0.01, 1.0]),
+)
+def test_train_counts_as_fit_over_vectorize(
+    texts, label_picks, stop_top_n, stemming, ngram_size, variant_weighting, alpha
+):
+    """train's one counting pass gives what fit_* give over build_vocabulary
+    and vectorize: every field, every float bit and every dict key order."""
+    variant, weighting = variant_weighting
+    config = PipelineConfig(
+        stop_word_mode="frequency" if stop_top_n else "none",
+        frequency_top_n=stop_top_n,
+        stemming=stemming,
+        ngram_size=ngram_size,
+    )
+    labels = label_picks[: len(texts)]
+    stops = None
+    if stop_top_n:
+        stops = build_stop_list([tokenize(t, config) for t in texts], stop_top_n)
+    streams = [run_pipeline(t, config, stops) for t in texts]
+    vocab = build_vocabulary(streams)
+    vecs = [vectorize(s, vocab, weighting) for s in streams]
+    if variant == "bernoulli":
+        model = fit_bernoulli(vecs, labels, vocab)
+    else:
+        model = fit_multinomial(vecs, labels, vocab, alpha)
+    expected = ModelArchive(variant, model, config, vocab, weighting, stops)
+    trained = train(variant, labels, texts, alpha, config, weighting)
+    assert _text_fields(trained) == _text_fields(expected)

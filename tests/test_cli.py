@@ -194,6 +194,16 @@ class TestTrain:
         assert "alpha" in captured.err
         assert not (tmp_path / "m").exists()
 
+    def test_alpha_that_overflows_the_smoothing_is_refused(self, corpus_path, capsys):
+        # 1e308 * V is inf: the model would score every class -inf and answer
+        # by the prior alone
+        argv = ["evaluate", "--input", str(corpus_path), "--variant", "multinomial",
+                "--alpha", "1e308"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha 1e+308 is too large: a smoothed denominator overflows\n"
+
     def test_pipeline_flags_rejected_for_categorical(self, tmp_path, toy_csv_path):
         code = main(
             ["train", "--input", str(toy_csv_path), "--model", str(tmp_path / "m"),
@@ -461,6 +471,19 @@ class TestPredict:
         code = main(["predict", "--model", str(bad), "hello"])
         assert code == 1
         assert "JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nested", [
+        "[" * 100_000,
+        '{"format_version": 1, "weighting": ' + "[" * 50_000 + "]" * 50_000 + "}",
+    ], ids=["arrays", "weighting"])
+    def test_deeply_nested_archive(self, tmp_path, capsys, nested):
+        bad = tmp_path / "deep.json"
+        bad.write_text(nested, encoding="utf-8")
+        assert main(["predict", "--model", str(bad), "hello"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not a model archive (invalid JSON): ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("variant,corrupt,message", [
         ("multinomial", lambda doc: doc["priors"].update(counts=["7", "5"]),

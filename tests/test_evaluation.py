@@ -187,6 +187,14 @@ class TestSplit:
         assert len(test_idx) == n_test
         assert sorted(train_idx + test_idx) == list(range(n))
 
+    def test_seed_longer_than_the_split_key_is_refused(self):
+        # blake2b keys hold 64 bytes; the seed is keyed by its decimal digits
+        assert len(split_indices(10, 0.2, -(10**62))[1]) == 2
+        with pytest.raises(ValueError, match=f"seed {10**72} is too long"):
+            split_indices(10, 0.2, 10**72)
+        with pytest.raises(ValueError, match="64 bytes"):
+            split(_corpus(10), 0.2, seed=-(10**64))
+
 
 def _report_from_counts(tp, fp, fn, tn):
     pairs = (

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from nbtext.models import (
     BernoulliModel,
+    CategoricalModel,
     ClassPriors,
     MultinomialModel,
     classify,
@@ -330,6 +331,46 @@ class TestInputValidation:
         model = fit_categorical(*toy_shapes, alpha=0.0)
         with pytest.raises(ValueError):
             log_likelihood(model, ("blue",), "+")
+
+
+class TestAlphaRule:
+    """Every smoothed model holds one rule: alpha is a finite int or float >= 0
+    and no smoothed denominator overflows, whoever builds the model."""
+
+    BAD = [math.nan, math.inf, -1.0, -1, "1", True, None]
+
+    @pytest.mark.parametrize("alpha", BAD)
+    def test_fit_multinomial_refuses(self, alpha):
+        vocab = build_vocabulary([["w"]])
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+            fit_multinomial([SparseVector({0: 1}, 1)], ["c"], vocab, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", BAD)
+    def test_fit_categorical_refuses(self, toy_shapes, alpha):
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+            fit_categorical(*toy_shapes, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", BAD)
+    def test_models_refuse_when_built_directly(self, alpha):
+        priors = ClassPriors.from_counts({"c": 1})
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+            MultinomialModel(priors, {"c": {0: 1.0}}, {"c": 1.0}, 1, alpha)
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+            CategoricalModel(priors, ({"c": {"a": 1}},), {"c": 1}, alpha)
+
+    def test_an_overflowing_denominator_is_refused(self, toy_shapes):
+        # class total + 1e308 * 2 is inf: every estimate would be 0 and every
+        # class would score -inf, leaving only the prior
+        vocab = build_vocabulary([["a", "b"]])
+        with pytest.raises(ValueError, match="alpha 1e\\+308 is too large"):
+            fit_multinomial([SparseVector({0: 1}, 2)], ["c"], vocab, alpha=1e308)
+        with pytest.raises(ValueError, match="alpha 1e\\+308 is too large"):
+            fit_categorical(*toy_shapes, alpha=1e308)
+
+    def test_the_largest_alpha_that_fits_is_kept(self):
+        vocab = build_vocabulary([["a"]])
+        model = fit_multinomial([SparseVector({0: 1}, 1)], ["c"], vocab, alpha=1e308)
+        assert model.conditional("c", 0) == pytest.approx(1.0)
 
 
 WORDS = [f"w{i}" for i in range(8)]

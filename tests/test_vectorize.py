@@ -1,6 +1,7 @@
 """Vocabulary construction, sparse weighting modes, and idf."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,25 @@ class TestIdf:
         assert idf(vocab, 0) >= idf(vocab, 1) >= 0.0
         if df1 != df2:
             assert idf(vocab, 0) > idf(vocab, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(token_streams, st.lists(st.sampled_from("abcdefghij"), max_size=20))
+    def test_vectorize_reads_the_idf_of_each_entry(self, corpus, stream):
+        """tf-idf reads the vocabulary's idf table, which holds exactly what
+        idf() gives per id: ln(total_documents / df)."""
+        vocab = build_vocabulary(corpus)
+        n_ids = len(vocab)
+        assert vocab.idf_table == [idf(vocab, i) for i in range(n_ids)]
+        assert vocab.idf_table == [
+            math.log(vocab.total_documents / df) for df in vocab.document_frequency
+        ]
+        counts = Counter(vocab.token_to_id[tok] for tok in stream if tok in vocab)
+        expected = [
+            (i, w)
+            for i, tf in counts.items()
+            if (w := (tf / len(stream)) * idf(vocab, i)) > 0
+        ]
+        assert list(vectorize(stream, vocab, TFIDF).entries.items()) == expected
 
 
 def test_dump_format(two_doc_vocab):
