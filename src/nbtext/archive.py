@@ -19,7 +19,6 @@ from .models import (
     MultinomialModel,
     NaiveBayesModel,
     bernoulli_from_entries,
-    check_alpha,
     fit_categorical,
     fit_gaussian,
     multinomial_from_entries,
@@ -81,10 +80,8 @@ class Variant:
     def text(self) -> bool:
         return bool(self.weightings)
 
-    def check(self, weighting: Optional[str], alpha) -> Optional[str]:
+    def check(self, weighting: Optional[str]) -> Optional[str]:
         """The weighting to train with (None: the default); ValueError if not taken."""
-        if self.smoothed:
-            check_alpha(alpha)
         if weighting is None:
             return self.weightings[0] if self.text else None
         if weighting not in self.weightings:
@@ -241,7 +238,7 @@ def train(
     ValueError for what the variant does not take.
     """
     spec = _variant_spec(variant)
-    weighting = spec.check(weighting, alpha)
+    weighting = spec.check(weighting)
     if not spec.text:
         inputs = [[spec.cell(v) for v in row] for row in inputs]
     if variant == "categorical":
@@ -263,14 +260,11 @@ def train(
         streams[i] = counter.add(run_stages(tokens, pipeline_config, stops))
     vocab = counter.vocabulary()
     del counter  # the class sums allocate into the memory its tables free
-
-    def entries(ids):
-        return weigh(ids, len(ids), vocab, weighting)
-
+    tables = (weigh(ids, len(ids), vocab, weighting) for ids in streams)
     if variant == "bernoulli":
-        model = bernoulli_from_entries(streams, labels, len(vocab), entries)
+        model = bernoulli_from_entries(tables, labels, len(vocab))
     else:
-        model = multinomial_from_entries(streams, labels, len(vocab), alpha, entries)
+        model = multinomial_from_entries(tables, labels, len(vocab), alpha)
     return ModelArchive(variant, model, pipeline_config, vocab, weighting, stops)
 
 
@@ -307,8 +301,9 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested past the decoder's depth
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad syntax, bytes that are not UTF-8 or an int past the
+        # digit limit; RecursionError: nesting past the decoder's depth
         raise ArchiveError(f"not a model archive (invalid JSON): {exc}") from exc
     try:
         version = doc["format_version"]
@@ -321,8 +316,7 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
         spec = _variant_spec(variant)
         priors = _priors_from_payload(doc["priors"])
         model = _model_from_payload(spec.model_class, doc["parameters"], priors)
-        # train's weighting and alpha rules
-        spec.check(doc.get("weighting"), getattr(model, "alpha", None))
+        spec.check(doc.get("weighting"))  # train's weighting rule
         pipeline_config = (
             PipelineConfig(**doc["pipeline"]) if doc.get("pipeline") else None
         )

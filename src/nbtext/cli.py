@@ -17,13 +17,14 @@ from .archive import (
     train,
 )
 from .evaluation import (
+    LabeledCorpus,
     evaluate,
     format_report,
     load_corpus,
     load_row_corpus,
-    split_indices,
+    split,
 )
-from .models import posterior_scores
+from .models import check_alpha, posterior_scores
 from .pipeline import PipelineConfig, load_stop_list, read_lines, read_stdin_lines
 from .vectorize import WEIGHTING_MODES, dump_vocabulary
 
@@ -142,7 +143,9 @@ class _TrainSettings:
             raise _UsageError(f"--alpha does not apply to the {self.spec.name} variant")
         self.alpha = 1.0 if args.alpha is None else args.alpha
         try:
-            self.weighting = self.spec.check(args.weighting, self.alpha)
+            if self.spec.smoothed:
+                check_alpha(self.alpha)
+            self.weighting = self.spec.check(args.weighting)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
         stop_mode, self.stop_path, stop_top_n = _parse_stop_spec(
@@ -160,15 +163,16 @@ class _TrainSettings:
             ngram_size=ngram,
         )
 
-    def load_data(self, path: str) -> Tuple[list, list]:
-        """Labels and inputs: raw texts for the text variants, parsed rows otherwise."""
+    def load_data(self, path: str) -> LabeledCorpus:
+        """The corpus: raw texts for the text variants, parsed rows otherwise."""
         if self.spec.text:
-            documents = load_corpus(path).documents
-            return [label for label, _ in documents], [text for _, text in documents]
+            return load_corpus(path)
         rows, labels = load_row_corpus(path, self.spec.cell)
-        return labels, rows
+        return LabeledCorpus(tuple(zip(labels, rows)))
 
-    def fit(self, labels: list, inputs: list) -> ModelArchive:
+    def fit(self, corpus: LabeledCorpus) -> ModelArchive:
+        labels = [label for label, _ in corpus.documents]
+        inputs = [x for _, x in corpus.documents]
         stops = load_stop_list(self.stop_path) if self.stop_path else None
         options = (self.alpha, self.pipeline, self.weighting, stops)
         return train(self.spec.name, labels, inputs, *options)
@@ -176,9 +180,9 @@ class _TrainSettings:
 
 def cmd_train(args) -> int:
     settings = _TrainSettings(args)
-    archive = settings.fit(*settings.load_data(args.input))
+    archive = settings.fit(settings.load_data(args.input))
     save_archive(archive, args.model)
-    counts = archive.model.priors.counts or {}
+    counts = archive.model.priors.counts
     print(f"classes: {' '.join(f'{label}={n}' for label, n in counts.items())}")
     if archive.vocab is not None:
         print(f"vocabulary: {len(archive.vocab)} tokens")
@@ -215,11 +219,10 @@ def cmd_evaluate(args) -> int:
         raise _UsageError("--test-fraction must be strictly between 0 and 1")
     if len(str(args.seed)) > 64:  # the split's blake2b key holds at most 64 bytes
         raise _UsageError("--seed must fit in 64 characters, sign included")
-    labels, inputs = settings.load_data(args.input)
-    train_idx, test_idx = split_indices(len(inputs), args.test_fraction, args.seed)
-    archive = settings.fit([labels[i] for i in train_idx], [inputs[i] for i in train_idx])
-    report = evaluate(archive, [(labels[i], inputs[i]) for i in test_idx])
-    print(f"trained on {len(train_idx)} documents, evaluated on {report.n_test}")
+    corpus = settings.load_data(args.input)
+    train_part, test_part = split(corpus, args.test_fraction, args.seed)
+    report = evaluate(settings.fit(train_part), test_part.documents)
+    print(f"trained on {len(train_part)} documents, evaluated on {report.n_test}")
     print(format_report(report))
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as fh:
@@ -248,10 +251,8 @@ def cmd_inspect(args) -> int:
     model = archive.model
     print(f"variant: {archive.variant}")
     priors = model.priors
-    counts = priors.counts or {}
-    for label in priors.labels:
-        n = f" (n={counts[label]})" if label in counts else ""
-        print(f"prior {label}: {priors.probabilities[label]:.4f}{n}")
+    for label, n in priors.counts.items():
+        print(f"prior {label}: {priors.probabilities[label]:.4f} (n={n})")
     if archive.vocab is not None:
         print(
             f"vocabulary: {len(archive.vocab)} tokens over "

@@ -40,7 +40,9 @@ class CorpusFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledCorpus:
-    documents: Tuple[Tuple[str, str], ...]
+    """(label, input) pairs; an input is a text or a row of cells."""
+
+    documents: Tuple[Tuple[str, Any], ...]
 
     def __post_init__(self):
         if not self.documents:

@@ -9,11 +9,10 @@ conditionals mapping to -inf rather than raising.
 """
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .vectorize import SparseVector, Vocabulary
 
@@ -41,8 +40,6 @@ __all__ = [
 ]
 
 _PRIOR_SUM_TOL = 1e-12
-
-_vector_entries = operator.attrgetter("entries")
 
 
 class _Row(list):
@@ -121,8 +118,6 @@ class ClassPriors:
 
 def fit_priors(labels: Sequence[str]) -> ClassPriors:
     """Estimate P(class) as the class frequency among the labels."""
-    if not labels:
-        raise ValueError("labels must be non-empty")
     return ClassPriors.from_counts(Counter(labels))
 
 
@@ -155,6 +150,8 @@ class CategoricalModel:
                     raise ValueError(
                         f"value_counts[{i}][{label!r}] must sum to class_counts[{label!r}]"
                     )
+        if self.priors.counts is not None and self.class_counts != self.priors.counts:
+            raise ValueError("class_counts must be the class sizes the priors count")
         # a value a position never saw adds one to the size of its domain
         size = max(map(len, self.domains), default=0) + 1
         check_alpha(self.alpha, self.class_counts.values(), size)
@@ -230,6 +227,8 @@ class BernoulliModel:
                 raise ValueError(f"doc_counts[{label!r}] must hold ints")
             if row and not 0 <= min(row) <= max(row) <= docs:
                 raise ValueError(f"doc_counts[{label!r}] must lie between 0 and {docs}")
+        if self.priors.counts is not None and self.class_doc_counts != self.priors.counts:
+            raise ValueError("class_doc_counts must be the class sizes the priors count")
 
     def estimate(self, label: str, token_id: int) -> float:
         return (self.doc_counts[label][token_id] + 1) / (
@@ -254,22 +253,17 @@ class BernoulliModel:
 
 
 def bernoulli_from_entries(
-    docs: Sequence,
-    labels: Sequence[str],
-    vocab_size: int,
-    entries: Callable[..., Dict[int, float]],
+    tables: Iterable[Dict[int, float]], labels: Sequence[str], vocab_size: int
 ) -> BernoulliModel:
-    """Count, per class, the documents that hold each token id; ``entries(doc)``
-    gives a document's id -> weight table, whose weights are not read."""
-    if len(docs) != len(labels):
-        raise ValueError("vectors and labels must have equal length")
+    """Count, per class, the documents that hold each token id; ``tables`` gives
+    each document's id -> weight table, whose weights are not read, one per label."""
     priors = fit_priors(labels)
     doc_counts = {lab: [0] * vocab_size for lab in priors.labels}
     class_docs = {lab: 0 for lab in priors.labels}
-    for doc, lab in zip(docs, labels):
+    for table, lab in zip(tables, labels, strict=True):
         class_docs[lab] += 1
         row = doc_counts[lab]
-        for token_id in entries(doc):
+        for token_id in table:
             row[token_id] += 1
     return BernoulliModel(priors, doc_counts, class_docs, vocab_size)
 
@@ -282,7 +276,7 @@ def fit_bernoulli(
     for vec in binary_vectors:
         if any(v != 1 for v in vec.entries.values()):
             raise ValueError("bernoulli fitting requires binary vectors")
-    return bernoulli_from_entries(binary_vectors, labels, len(vocab), _vector_entries)
+    return bernoulli_from_entries((v.entries for v in binary_vectors), labels, len(vocab))
 
 
 @dataclass(frozen=True)
@@ -345,24 +339,21 @@ class MultinomialModel:
 
 
 def multinomial_from_entries(
-    docs: Sequence,
+    tables: Iterable[Dict[int, float]],
     labels: Sequence[str],
     vocab_size: int,
     alpha: float,
-    entries: Callable[..., Dict[int, float]],
 ) -> MultinomialModel:
     """Sum, per class, the weight of each token id over the documents, in
-    document then entry order; ``entries(doc)`` gives a document's id -> weight
-    table."""
-    if len(docs) != len(labels):
-        raise ValueError("vectors and labels must have equal length")
+    document then entry order; ``tables`` gives each document's id -> weight
+    table, one per label."""
     priors = fit_priors(labels)
     tf_sums: Dict[str, Dict[int, float]] = {lab: {} for lab in priors.labels}
     class_totals: Dict[str, float] = {lab: 0.0 for lab in priors.labels}
-    for doc, lab in zip(docs, labels):
+    for table, lab in zip(tables, labels, strict=True):
         sums = tf_sums[lab]
         total = class_totals[lab]
-        for token_id, weight in entries(doc).items():
+        for token_id, weight in table.items():
             sums[token_id] = sums.get(token_id, 0.0) + weight
             total += weight
         class_totals[lab] = total
@@ -375,8 +366,8 @@ def fit_multinomial(
     vocab: Vocabulary,
     alpha: float = 1.0,
 ) -> MultinomialModel:
-    vocab_size = len(vocab)
-    return multinomial_from_entries(count_vectors, labels, vocab_size, alpha, _vector_entries)
+    tables = (v.entries for v in count_vectors)
+    return multinomial_from_entries(tables, labels, len(vocab), alpha)
 
 
 @dataclass(frozen=True)

@@ -317,6 +317,19 @@ def test_train_rejects_alpha_that_is_not_a_finite_number(
         train(variant, labels, inputs, alpha)
 
 
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@pytest.mark.parametrize("pair", [
+    lambda labels, inputs: (labels[:-1], inputs),
+    lambda labels, inputs: (labels, inputs[:-1]),
+], ids=["fewer-labels", "fewer-inputs"])
+def test_train_refuses_inputs_and_labels_of_different_lengths(
+    data_dir, toy_shapes, variant, pair
+):
+    labels, inputs = pair(*_training_data(variant, data_dir, toy_shapes))
+    with pytest.raises(ValueError):
+        train(variant, labels, inputs)
+
+
 @pytest.mark.parametrize("variant", ["bernoulli", "gaussian"])
 def test_unsmoothed_variants_ignore_alpha(tmp_path, data_dir, toy_shapes, variant):
     labels, inputs = _training_data(variant, data_dir, toy_shapes)

@@ -13,6 +13,7 @@ import pytest
 from nbtext.archive import VARIANTS, finite_float, load_archive, save_archive, train
 from nbtext.cli import main
 from nbtext.evaluation import (
+    LabeledCorpus,
     evaluate,
     load_corpus,
     load_row_corpus,
@@ -65,6 +66,15 @@ def _true_weight(doc):
     first = next(iter(sums))
     params["class_totals"]["spam"] += 1 - sums[first]
     sums[first] = True
+
+
+def _scale_class(doc, label, factor):
+    """Multiply one class's categorical counts by ``factor``, keeping every
+    value_counts table summing to its class_counts."""
+    params = doc["parameters"]
+    params["class_counts"][label] *= factor
+    for table in params["value_counts"]:
+        table[label] = {value: n * factor for value, n in table[label].items()}
 
 
 def _leaf_paths(node, path=()):
@@ -485,6 +495,20 @@ class TestPredict:
         assert captured.err.startswith("error: not a model archive (invalid JSON): ")
         assert captured.err.count("\n") == 1
 
+    def test_int_past_the_digit_limit(self, tmp_path, corpus_path, capsys):
+        # json.dumps cannot write such an int either, so the text is edited
+        model_path = _train(tmp_path, corpus_path)
+        text = model_path.read_text(encoding="utf-8")
+        field = '"format_version": 1'
+        assert text.count(field) == 1
+        model_path.write_text(text.replace(field, field + "0" * 4999), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "hello"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not a model archive (invalid JSON): ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("variant,corrupt,message", [
         ("multinomial", lambda doc: doc["priors"].update(counts=["7", "5"]),
          "malformed archive"),
@@ -598,6 +622,12 @@ class TestPredict:
          "n_features"),
         # written with surrogateescape, U+DCFF is the byte 0xff
         ("multinomial", lambda doc: doc.update(variant="\udcff"), "not a model archive"),
+        # class sizes that differ from the prior counts
+        ("bernoulli", lambda doc: doc["parameters"]["class_doc_counts"].update(
+            {lab: n * 10 for lab, n in doc["parameters"]["class_doc_counts"].items()}),
+         "class_doc_counts must be the class sizes the priors count"),
+        ("categorical", lambda doc: _scale_class(doc, "+", 3),
+         "class_counts must be the class sizes the priors count"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
             "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
@@ -615,7 +645,8 @@ class TestPredict:
             "total_documents-fractional", "counts-fractional", "counts-float",
             "counts-true", "labels-duplicate", "counts-longer", "counts-shorter",
             "total-float", "format_version-true", "tf_sums-true", "n_features-float",
-            "n_features-true", "not-utf-8"])
+            "n_features-true", "not-utf-8", "class_doc_counts-scaled",
+            "class-sizes-scaled"])
     def test_malformed_archive(
         self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
     ):
@@ -789,6 +820,37 @@ class TestEvaluate:
         )
         expected = evaluate(archive, test_part.documents).to_json_dict()
         assert json.loads(report_path.read_text(encoding="utf-8")) == expected
+
+    @pytest.mark.parametrize("variant,cell", [("categorical", str),
+                                              ("gaussian", finite_float)])
+    def test_row_report_matches_library_evaluate(self, tmp_path, capsys, variant, cell):
+        import random
+
+        rng = random.Random(6)
+        path = tmp_path / f"{variant}.csv"
+        if variant == "categorical":
+            lines = [f"{rng.choice('+-')},{rng.choice('abc')},{rng.choice('xyz')}"
+                     for _ in range(40)]
+        else:
+            lines = [f"{lab},{rng.gauss(mu, 1):.4f},{rng.gauss(mu, 2):.4f}"
+                     for lab, mu in [("low", 0), ("high", 3)] * 20]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        assert main(
+            ["evaluate", "--input", str(path), "--variant", variant,
+             "--test-fraction", "0.25", "--seed", "8", "--report-out", str(report_path)]
+        ) == 0
+        rows, labels = load_row_corpus(path, cell)
+        train_part, test_part = split(LabeledCorpus(tuple(zip(labels, rows))), 0.25, 8)
+        archive = train(
+            variant,
+            [label for label, _ in train_part.documents],
+            [row for _, row in train_part.documents],
+        )
+        expected = evaluate(archive, test_part.documents)
+        assert json.loads(report_path.read_text(encoding="utf-8")) == expected.to_json_dict()
+        out = capsys.readouterr().out
+        assert out.startswith(f"trained on {len(train_part)} documents, evaluated on 10\n")
 
     def test_fraction_validation(self, corpus_path):
         code = main(

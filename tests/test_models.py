@@ -332,6 +332,15 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             log_likelihood(model, ("blue",), "+")
 
+    @pytest.mark.parametrize("fit", [fit_bernoulli, fit_multinomial])
+    @pytest.mark.parametrize("labels", [[], ["a"], ["a", "b", "a"]],
+                             ids=["none", "fewer", "more"])
+    def test_vectors_and_labels_must_pair_up(self, fit, labels):
+        vocab = build_vocabulary([["w", "v"]])
+        vecs = [vectorize(["w"], vocab, BINARY), vectorize(["v"], vocab, BINARY)]
+        with pytest.raises(ValueError):
+            fit(vecs, labels, vocab)
+
 
 class TestAlphaRule:
     """Every smoothed model holds one rule: alpha is a finite int or float >= 0

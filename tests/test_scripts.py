@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import urllib.request
+from array import array
 from pathlib import Path
 
 import pytest
@@ -111,3 +112,17 @@ def test_traced_cli_matches_untraced(tmp_path, command):
     # the archive stems, so the tracer must have caught porter_stem
     counts = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))["counts"]
     assert counts["porter.calls"] > 0
+
+
+def test_traced_evaluate_records_the_split(tmp_path):
+    """evaluate splits its corpus with evaluation.split, so a traced run times
+    the split as a span of its own."""
+    spans = tmp_path / "spans"
+    result = _run_script("perfbench/tracer.py", str(spans), "test", "--", "evaluate",
+                         "--input", SAMPLE, "--variant", "multinomial", "--seed", "3")
+    assert result.returncode == 0, result.stderr
+    header = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))
+    names = array("H")  # the first of the arrays in spans.bin: one name id per span
+    with open(tmp_path / "spans.bin", "rb") as fh:
+        names.fromfile(fh, header["n_spans"])
+    assert names.count(header["names"].index("evaluation.split")) >= 1
