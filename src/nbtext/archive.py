@@ -19,6 +19,7 @@ from .models import (
     MultinomialModel,
     NaiveBayesModel,
     bernoulli_from_entries,
+    check_alpha,
     fit_categorical,
     fit_gaussian,
     multinomial_from_entries,
@@ -239,6 +240,8 @@ def train(
     """
     spec = _variant_spec(variant)
     weighting = spec.check(weighting)
+    if spec.smoothed:  # before any counting; the models check the denominators
+        check_alpha(alpha)
     if not spec.text:
         inputs = [[spec.cell(v) for v in row] for row in inputs]
     if variant == "categorical":

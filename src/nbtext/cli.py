@@ -16,16 +16,16 @@ from .archive import (
     save_archive,
     train,
 )
-from .evaluation import (
+from .models import check_alpha, posterior_scores
+from .pipeline import (
     LabeledCorpus,
-    evaluate,
-    format_report,
+    PipelineConfig,
     load_corpus,
     load_row_corpus,
-    split,
+    load_stop_list,
+    read_lines,
+    read_stdin_lines,
 )
-from .models import check_alpha, posterior_scores
-from .pipeline import PipelineConfig, load_stop_list, read_lines, read_stdin_lines
 from .vectorize import WEIGHTING_MODES, dump_vocabulary
 
 
@@ -214,16 +214,19 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    # imported here, so that train and predict never load it or its hashlib
+    from . import evaluation
+
     settings = _TrainSettings(args)
     if not 0.0 < args.test_fraction < 1.0:
         raise _UsageError("--test-fraction must be strictly between 0 and 1")
     if len(str(args.seed)) > 64:  # the split's blake2b key holds at most 64 bytes
         raise _UsageError("--seed must fit in 64 characters, sign included")
     corpus = settings.load_data(args.input)
-    train_part, test_part = split(corpus, args.test_fraction, args.seed)
-    report = evaluate(settings.fit(train_part), test_part.documents)
+    train_part, test_part = evaluation.split(corpus, args.test_fraction, args.seed)
+    report = evaluation.evaluate(settings.fit(train_part), test_part.documents)
     print(f"trained on {len(train_part)} documents, evaluated on {report.n_test}")
-    print(format_report(report))
+    print(evaluation.format_report(report))
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as fh:
             json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)

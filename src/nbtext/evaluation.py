@@ -1,4 +1,5 @@
-"""Corpus loading, deterministic splits, and classifier scoring.
+"""Deterministic splits and classifier scoring; the corpus readers of
+``pipeline`` are re-exported here.
 
 The split is reproducible across runs and platforms: documents are ordered
 by a keyed 64-bit blake2b hash of their index (key derived from the seed)
@@ -7,12 +8,11 @@ and the head of that ordering becomes the test partition.
 
 import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from .archive import ModelArchive
 from .models import classify
-from .pipeline import read_file_lines
+from .pipeline import CorpusFormatError, LabeledCorpus, load_corpus, load_row_corpus
 
 __all__ = [
     "CorpusFormatError",
@@ -29,68 +29,6 @@ __all__ = [
 ]
 
 
-class CorpusFormatError(ValueError):
-    """A corpus line failed to parse; carries the 1-based line number."""
-
-    def __init__(self, path, line_number: int, message: str):
-        super().__init__(f"{path}:{line_number}: {message}")
-        self.path = path
-        self.line_number = line_number
-
-
-@dataclass(frozen=True)
-class LabeledCorpus:
-    """(label, input) pairs; an input is a text or a row of cells."""
-
-    documents: Tuple[Tuple[str, Any], ...]
-
-    def __post_init__(self):
-        if not self.documents:
-            raise ValueError("corpus must contain at least one document")
-
-    @property
-    def label_set(self) -> Set[str]:
-        return {label for label, _ in self.documents}
-
-    def __len__(self):
-        return len(self.documents)
-
-
-def _labeled_lines(path, sep: str, expected: str) -> Iterator[Tuple[int, str, str]]:
-    """Yield ``(line number, label, rest)`` per line, split at the first ``sep``."""
-    lineno = 0
-    for lineno, line in read_file_lines(path):
-        label, found, rest = line.partition(sep)
-        if not found or not label.strip():
-            raise CorpusFormatError(path, lineno, f"expected {expected!r}")
-        yield lineno, label.strip(), rest
-    if lineno == 0:
-        raise CorpusFormatError(path, 0, "empty corpus")
-
-
-def load_corpus(path: Union[str, Path]) -> LabeledCorpus:
-    """Parse a "label<TAB>text" file, one document per line of ``read_file_lines``."""
-    lines = _labeled_lines(path, "\t", "label<TAB>text")
-    return LabeledCorpus(tuple((label, text) for _, label, text in lines))
-
-
-def load_row_corpus(path: Union[str, Path], cell=str) -> Tuple[List[list], List[str]]:
-    """Parse "label,v1,v2,..." lines into rows of cells and labels. Each cell
-    goes through ``cell``; its ValueError is reported at the line number."""
-    rows, labels = [], []
-    for lineno, label, rest in _labeled_lines(path, ",", "label,v1,..."):
-        values = [v.strip() for v in rest.split(",")]
-        if rows and len(values) != len(rows[0]):
-            message = f"expected {len(rows[0])} feature values, got {len(values)}"
-            raise CorpusFormatError(path, lineno, message)
-        try:
-            rows.append([cell(v) for v in values])
-        except ValueError as exc:
-            raise CorpusFormatError(path, lineno, str(exc)) from exc
-        labels.append(label)
-    return rows, labels
-
-
 def _index_digest(key: bytes, index: int) -> bytes:
     return hashlib.blake2b(str(index).encode("ascii"), digest_size=8, key=key).digest()
 
@@ -103,6 +41,8 @@ def split_indices(
     index, so identical inputs always give identical partitions."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be strictly between 0 and 1")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if n < 2:
         raise ValueError("need at least 2 documents to split")
     n_test = int(n * test_fraction + 0.5)

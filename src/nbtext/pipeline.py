@@ -1,4 +1,5 @@
-"""Text preprocessing: tokenization, stop words, stemming, n-grams.
+"""Text preprocessing: tokenization, stop words, stemming, n-grams; and the
+line and corpus readers every input goes through.
 
 Stages compose in a fixed order: tokenize -> stop-word removal -> Porter
 stemming -> n-gram expansion. Every function is pure; configs and stop
@@ -11,7 +12,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Any, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from .porter import porter_stem
 
@@ -24,6 +25,10 @@ __all__ = [
     "read_lines",
     "read_file_lines",
     "read_stdin_lines",
+    "CorpusFormatError",
+    "LabeledCorpus",
+    "load_corpus",
+    "load_row_corpus",
     "remove_stop_words",
     "ngrams",
     "run_pipeline",
@@ -150,6 +155,68 @@ def read_stdin_lines(stdin) -> Iterator[Tuple[int, str]]:
     if isinstance(stdin, io.TextIOWrapper):
         stdin.reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)
     return read_lines(stdin, "stdin")
+
+
+class CorpusFormatError(ValueError):
+    """A corpus line failed to parse; carries the 1-based line number."""
+
+    def __init__(self, path, line_number: int, message: str):
+        super().__init__(f"{path}:{line_number}: {message}")
+        self.path = path
+        self.line_number = line_number
+
+
+@dataclass(frozen=True)
+class LabeledCorpus:
+    """(label, input) pairs; an input is a text or a row of cells."""
+
+    documents: Tuple[Tuple[str, Any], ...]
+
+    def __post_init__(self):
+        if not self.documents:
+            raise ValueError("corpus must contain at least one document")
+
+    @property
+    def label_set(self) -> Set[str]:
+        return {label for label, _ in self.documents}
+
+    def __len__(self):
+        return len(self.documents)
+
+
+def _labeled_lines(path, sep: str, expected: str) -> Iterator[Tuple[int, str, str]]:
+    """Yield ``(line number, label, rest)`` per line, split at the first ``sep``."""
+    lineno = 0
+    for lineno, line in read_file_lines(path):
+        label, found, rest = line.partition(sep)
+        if not found or not label.strip():
+            raise CorpusFormatError(path, lineno, f"expected {expected!r}")
+        yield lineno, label.strip(), rest
+    if lineno == 0:
+        raise CorpusFormatError(path, 0, "empty corpus")
+
+
+def load_corpus(path: Union[str, Path]) -> LabeledCorpus:
+    """Parse a "label<TAB>text" file, one document per line of ``read_file_lines``."""
+    lines = _labeled_lines(path, "\t", "label<TAB>text")
+    return LabeledCorpus(tuple((label, text) for _, label, text in lines))
+
+
+def load_row_corpus(path: Union[str, Path], cell=str) -> Tuple[List[list], List[str]]:
+    """Parse "label,v1,v2,..." lines into rows of cells and labels. Each cell
+    goes through ``cell``; its ValueError is reported at the line number."""
+    rows, labels = [], []
+    for lineno, label, rest in _labeled_lines(path, ",", "label,v1,..."):
+        values = [v.strip() for v in rest.split(",")]
+        if rows and len(values) != len(rows[0]):
+            message = f"expected {len(rows[0])} feature values, got {len(values)}"
+            raise CorpusFormatError(path, lineno, message)
+        try:
+            rows.append([cell(v) for v in values])
+        except ValueError as exc:
+            raise CorpusFormatError(path, lineno, str(exc)) from exc
+        labels.append(label)
+    return rows, labels
 
 
 def load_stop_list(path: Union[str, Path]) -> StopList:

@@ -18,13 +18,12 @@ empty string; callers that feed token streams should drop empty stems.
 """
 
 import functools
-import string
 
 __all__ = ["porter_stem"]
 
 # every letter but y, whose class depends on the letter before it
 _CV = str.maketrans(
-    {ch: "v" if ch in "aeiou" else "c" for ch in string.ascii_lowercase if ch != "y"}
+    {ch: "v" if ch in "aeiou" else "c" for ch in "abcdefghijklmnopqrstuvwxz"}
 )
 
 _STEP2 = (

@@ -587,3 +587,17 @@ def test_train_counts_as_fit_over_vectorize(
     expected = ModelArchive(variant, model, config, vocab, weighting, stops)
     trained = train(variant, labels, texts, alpha, config, weighting)
     assert _text_fields(trained) == _text_fields(expected)
+
+
+@pytest.mark.parametrize("variant", ["categorical", "multinomial"])
+def test_train_refuses_a_bad_alpha_before_it_counts(
+    monkeypatch, data_dir, toy_shapes, variant
+):
+    def no_counting(*args):
+        raise AssertionError("train counted before it checked alpha")
+
+    monkeypatch.setattr("nbtext.archive.tokenize", no_counting)
+    monkeypatch.setattr("nbtext.archive.fit_categorical", no_counting)
+    labels, inputs = _training_data(variant, data_dir, toy_shapes)
+    with pytest.raises(ValueError, match="alpha"):
+        train(variant, labels, inputs, math.nan)

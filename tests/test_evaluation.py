@@ -195,6 +195,13 @@ class TestSplit:
         with pytest.raises(ValueError, match="64 bytes"):
             split(_corpus(10), 0.2, seed=-(10**64))
 
+    @pytest.mark.parametrize("seed", ["x", "7", 1.5, 7.0, True, None])
+    def test_seed_that_is_not_an_int_is_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            split_indices(10, 0.2, seed)
+        with pytest.raises(ValueError, match="seed must be an int"):
+            split(_corpus(10), 0.2, seed=seed)
+
 
 def _report_from_counts(tp, fp, fn, tn):
     pairs = (

@@ -1,0 +1,102 @@
+"""What each command imports, and the package's lazily bound exports."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nbtext
+import nbtext.evaluation
+import nbtext.pipeline
+from nbtext.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# modules that train and predict do not run: only evaluate's split needs
+# hashlib, and porter spells out its alphabet rather than import string's
+NOT_RUN = ("nbtext.evaluation", "hashlib", "_hashlib", "string")
+
+# runs the CLI in a fresh interpreter and prints, as its last line, which of
+# NOT_RUN the command added to sys.modules; modules that site hooks load
+# before nbtext is imported do not count
+PROBE = """
+import json, sys
+before = set(sys.modules)
+from nbtext.cli import main
+code = main(sys.argv[2:])
+added = set(sys.modules) - before
+print(json.dumps([code, sorted(added & set(json.loads(sys.argv[1])))]))
+"""
+
+
+def _added_modules(*argv, stdin=""):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(NOT_RUN), *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
+    )
+    code, added = json.loads(res.stdout.splitlines()[-1])
+    assert code == 0, res.stderr
+    return added
+
+
+@pytest.fixture
+def corpus(data_dir):
+    return str(data_dir / "sample_messages.tsv")
+
+
+@pytest.fixture
+def model(tmp_path, corpus):
+    path = str(tmp_path / "model.json")
+    main(["train", "--input", corpus, "--model", path, "--variant", "bernoulli"])
+    return path
+
+
+@pytest.mark.parametrize("variant,flags", [
+    ("multinomial", ["--stem", "on", "--stop-words", "top:5", "--ngram", "2"]),
+    ("bernoulli", []),
+])
+def test_train_loads_no_evaluation_module(tmp_path, corpus, variant, flags):
+    model = str(tmp_path / "model.json")
+    argv = ["train", "--input", corpus, "--model", model, "--variant", variant, *flags]
+    assert _added_modules(*argv) == []
+
+
+def test_predict_loads_no_evaluation_module(model):
+    assert _added_modules("predict", "--model", model, "--probs", "free prize") == []
+    assert _added_modules("predict", "--model", model, stdin="free prize\nhi mum\n") == []
+
+
+def test_evaluate_loads_the_evaluation_module(corpus):
+    added = _added_modules("evaluate", "--input", corpus, "--variant", "multinomial")
+    assert "nbtext.evaluation" in added
+
+
+def test_every_export_resolves():
+    for name in nbtext.__all__:
+        assert getattr(nbtext, name) is not None, name
+    assert set(nbtext.__all__) <= set(dir(nbtext))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nbtext.no_such_name
+
+
+def test_star_import_binds_every_export():
+    names = {}
+    exec("from nbtext import *", names)
+    assert set(nbtext.__all__) <= set(names)
+    assert all(names[name] is getattr(nbtext, name) for name in nbtext.__all__)
+
+
+def test_vectorize_export_is_the_function_not_the_submodule():
+    assert callable(nbtext.vectorize)
+    assert nbtext.vectorize is sys.modules["nbtext.vectorize"].vectorize
+
+
+def test_evaluation_reexports_the_pipeline_readers():
+    for name in ("CorpusFormatError", "LabeledCorpus", "load_corpus", "load_row_corpus"):
+        assert getattr(nbtext.evaluation, name) is getattr(nbtext.pipeline, name), name
+    assert nbtext.evaluation.load_corpus is nbtext.load_corpus
+    assert issubclass(nbtext.CorpusFormatError, ValueError)
