@@ -66,13 +66,15 @@ def finite_float(cell) -> float:
 
 @dataclass(frozen=True)
 class Variant:
-    """What one model family takes. ``weightings`` lists the term weightings
-    it accepts, default first; an empty list means it takes rows of cells,
-    each parsed by ``cell``, instead of text. ``smoothed`` variants use
-    ``alpha``; the others ignore it."""
+    """What one model family takes and how it fits. ``weightings`` lists the
+    term weightings it accepts, default first; an empty list means it takes
+    rows of cells, each parsed by ``cell``, instead of text. ``fit`` takes the
+    rows, or the texts' id -> weight tables and the vocabulary size, then the
+    labels, then ``alpha`` for ``smoothed`` variants; the others ignore it."""
 
     name: str
     model_class: type
+    fit: Callable[..., NaiveBayesModel]
     weightings: Tuple[str, ...] = ()
     smoothed: bool = False
     cell: Optional[Callable[[Any], Any]] = None
@@ -95,10 +97,11 @@ class Variant:
 VARIANTS = {
     v.name: v
     for v in (
-        Variant("categorical", CategoricalModel, smoothed=True, cell=str),
-        Variant("bernoulli", BernoulliModel, (BINARY,)),
-        Variant("multinomial", MultinomialModel, (RAW_COUNT, NORMALIZED_TF, TFIDF), True),
-        Variant("gaussian", GaussianModel, cell=finite_float),
+        Variant("categorical", CategoricalModel, fit_categorical, smoothed=True, cell=str),
+        Variant("bernoulli", BernoulliModel, bernoulli_from_entries, (BINARY,)),
+        Variant("multinomial", MultinomialModel, multinomial_from_entries,
+                (RAW_COUNT, NORMALIZED_TF, TFIDF), True),
+        Variant("gaussian", GaussianModel, fit_gaussian, cell=finite_float),
     )
 }
 
@@ -117,7 +120,8 @@ class ArchiveError(Exception):
 class ModelArchive:
     """A trained model plus everything needed to classify new input:
     pipeline config, stop list, vocabulary, and weighting mode (text
-    variants only; row variants carry none of these)."""
+    variants only; row variants carry none of these). The variant must take
+    the weighting, and the vocabulary must count the priors' documents."""
 
     variant: str
     model: NaiveBayesModel
@@ -132,6 +136,7 @@ class ModelArchive:
             raise ValueError(
                 f"{self.variant} archives hold a {spec.model_class.__name__}"
             )
+        spec.check(self.weighting)
         if spec.text:
             if self.pipeline_config is None or self.vocab is None or not self.weighting:
                 raise ValueError(
@@ -141,6 +146,9 @@ class ModelArchive:
             size = self.model.vocab_size
             if type(size) is not int or size != len(self.vocab):
                 raise ValueError(f"vocab_size must be the token count, {len(self.vocab)}")
+            total = self.model.priors.total
+            if total is not None and self.vocab.total_documents != total:
+                raise ValueError(f"total_documents must be the priors total, {total}")
 
     def encode(self, x):
         """One raw input as the model scores it: text vectorized as at training
@@ -240,14 +248,12 @@ def train(
     """
     spec = _variant_spec(variant)
     weighting = spec.check(weighting)
-    if spec.smoothed:  # before any counting; the models check the denominators
+    smoothing = (alpha,) if spec.smoothed else ()
+    if smoothing:  # before any counting; the models check the denominators
         check_alpha(alpha)
     if not spec.text:
-        inputs = [[spec.cell(v) for v in row] for row in inputs]
-    if variant == "categorical":
-        return ModelArchive(variant, fit_categorical(inputs, labels, alpha))
-    if variant == "gaussian":
-        return ModelArchive(variant, fit_gaussian(inputs, labels))
+        rows = [[spec.cell(v) for v in row] for row in inputs]
+        return ModelArchive(variant, spec.fit(rows, labels, *smoothing))
     # each text is tokenized once, its list sharing one string per distinct token
     # until the stages run, which keeps peak memory near that of the finished streams
     canon = {}
@@ -264,10 +270,7 @@ def train(
     vocab = counter.vocabulary()
     del counter  # the class sums allocate into the memory its tables free
     tables = (weigh(ids, len(ids), vocab, weighting) for ids in streams)
-    if variant == "bernoulli":
-        model = bernoulli_from_entries(tables, labels, len(vocab))
-    else:
-        model = multinomial_from_entries(tables, labels, len(vocab), alpha)
+    model = spec.fit(tables, labels, len(vocab), *smoothing)
     return ModelArchive(variant, model, pipeline_config, vocab, weighting, stops)
 
 
@@ -319,7 +322,6 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
         spec = _variant_spec(variant)
         priors = _priors_from_payload(doc["priors"])
         model = _model_from_payload(spec.model_class, doc["parameters"], priors)
-        spec.check(doc.get("weighting"))  # train's weighting rule
         pipeline_config = (
             PipelineConfig(**doc["pipeline"]) if doc.get("pipeline") else None
         )

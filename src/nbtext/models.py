@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_args
 
 from .vectorize import SparseVector, Vocabulary
 
@@ -121,6 +121,16 @@ def fit_priors(labels: Sequence[str]) -> ClassPriors:
     return ClassPriors.from_counts(Counter(labels))
 
 
+def _row_width(rows: Sequence[Sequence], labels: Sequence[str]) -> int:
+    """The width every row shares; ValueError unless one row pairs with each label."""
+    if len(rows) != len(labels):
+        raise ValueError("rows and labels must have equal length")
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise ValueError("all rows must have the same width")
+    return width
+
+
 @dataclass(frozen=True)
 class CategoricalModel:
     """Per-position value-count tables with additive smoothing.
@@ -180,26 +190,40 @@ class CategoricalModel:
         den = self.class_counts[label] + self.alpha * k
         return num / den
 
+    def log_likelihood(self, values: Sequence[str], label: str) -> float:
+        if isinstance(values, SparseVector):
+            raise TypeError("categorical model expects a sequence of feature values")
+        if len(values) != self.n_positions:
+            raise ValueError(
+                f"expected {self.n_positions} feature values, got {len(values)}"
+            )
+        return sum(_log(self.conditional(i, label, v)) for i, v in enumerate(values))
+
 
 def fit_categorical(
     samples: Sequence[Sequence[str]], labels: Sequence[str], alpha: float = 0.0
 ) -> CategoricalModel:
-    if len(samples) != len(labels):
-        raise ValueError("samples and labels must have equal length")
+    n_positions = _row_width(samples, labels)
     priors = fit_priors(labels)
-    n_positions = len(samples[0])
-    for row in samples:
-        if len(row) != n_positions:
-            raise ValueError("all samples must have the same number of positions")
-    tables: List[Dict[str, Dict[str, int]]] = [
-        {lab: {} for lab in priors.labels} for _ in range(n_positions)
-    ]
+    tables = [{lab: {} for lab in priors.labels} for _ in range(n_positions)]
     for row, lab in zip(samples, labels):
         for i, value in enumerate(row):
             cell = tables[i][lab]
             cell[value] = cell.get(value, 0) + 1
-    assert priors.counts is not None
     return CategoricalModel(priors, tuple(tables), dict(priors.counts), alpha)
+
+
+def _text_log_likelihood(model, vec: SparseVector, label: str) -> float:
+    if not isinstance(vec, SparseVector):
+        raise TypeError("text model expects a SparseVector")
+    base, theta, unseen = model.linear_form[label]
+    terms = [w * theta.get(i, unseen) for i, w in vec.entries.items()]
+    # fsum rounds once, whatever the order of its terms, so token order cannot matter
+    try:
+        return base + math.fsum(terms)
+    except OverflowError:
+        # finite terms past the float range; a multinomial's are all <= 0, so -inf
+        return base + sum(terms)
 
 
 @dataclass(frozen=True)
@@ -237,6 +261,7 @@ class BernoulliModel:
 
     # the name MultinomialModel uses for its per-token estimate
     conditional = estimate
+    log_likelihood = _text_log_likelihood
 
     @cached_property
     def linear_form(self) -> Dict[str, LinearForm]:
@@ -259,13 +284,11 @@ def bernoulli_from_entries(
     each document's id -> weight table, whose weights are not read, one per label."""
     priors = fit_priors(labels)
     doc_counts = {lab: [0] * vocab_size for lab in priors.labels}
-    class_docs = {lab: 0 for lab in priors.labels}
     for table, lab in zip(tables, labels, strict=True):
-        class_docs[lab] += 1
         row = doc_counts[lab]
         for token_id in table:
             row[token_id] += 1
-    return BernoulliModel(priors, doc_counts, class_docs, vocab_size)
+    return BernoulliModel(priors, doc_counts, dict(priors.counts), vocab_size)
 
 
 def fit_bernoulli(
@@ -326,6 +349,8 @@ class MultinomialModel:
     def _estimate(self, label: str, tf: float) -> float:
         den = self.class_totals[label] + self.alpha * self.vocab_size
         return (tf + self.alpha) / den if den else 0.0
+
+    log_likelihood = _text_log_likelihood
 
     @cached_property
     def linear_form(self) -> Dict[str, LinearForm]:
@@ -390,6 +415,14 @@ class GaussianModel:
         if not all(sd > 0 for row in self.stds.values() for sd in row):
             raise ValueError("stds must be > 0")
 
+    def log_likelihood(self, row: Sequence[float], label: str) -> float:
+        if isinstance(row, SparseVector):
+            raise TypeError("gaussian model expects a sequence of real features")
+        if len(row) != self.n_features:
+            raise ValueError(f"expected {self.n_features} features, got {len(row)}")
+        mu, sd = self.means[label], self.stds[label]
+        return sum(gaussian_log_density(x, mu[k], sd[k]) for k, x in enumerate(row))
+
 
 _SIGMA_FLOOR = 1e-9
 
@@ -397,13 +430,8 @@ _SIGMA_FLOOR = 1e-9
 def fit_gaussian(
     feature_rows: Sequence[Sequence[float]], labels: Sequence[str]
 ) -> GaussianModel:
-    if len(feature_rows) != len(labels):
-        raise ValueError("rows and labels must have equal length")
+    n_features = _row_width(feature_rows, labels)
     priors = fit_priors(labels)
-    n_features = len(feature_rows[0])
-    for row in feature_rows:
-        if len(row) != n_features:
-            raise ValueError("all rows must have the same dimensionality")
     by_class: Dict[str, List[Sequence[float]]] = {lab: [] for lab in priors.labels}
     for row, lab in zip(feature_rows, labels):
         by_class[lab].append(row)
@@ -442,59 +470,11 @@ class PosteriorReport:
     degenerate_evidence: bool = False
 
 
-def _categorical_log_likelihood(
-    model: CategoricalModel, values: Sequence[str], label: str
-) -> float:
-    if isinstance(values, SparseVector):
-        raise TypeError("categorical model expects a sequence of feature values")
-    if len(values) != model.n_positions:
-        raise ValueError(
-            f"expected {model.n_positions} feature values, got {len(values)}"
-        )
-    return sum(_log(model.conditional(i, label, value)) for i, value in enumerate(values))
-
-
-def _text_log_likelihood(
-    model: Union[BernoulliModel, MultinomialModel], vec: SparseVector, label: str
-) -> float:
-    if not isinstance(vec, SparseVector):
-        raise TypeError("text model expects a SparseVector")
-    base, theta, unseen = model.linear_form[label]
-    terms = [w * theta.get(i, unseen) for i, w in vec.entries.items()]
-    # fsum rounds once, whatever the order of its terms, so token order cannot matter
-    try:
-        return base + math.fsum(terms)
-    except OverflowError:
-        # finite terms past the float range; a multinomial's are all <= 0, so -inf
-        return base + sum(terms)
-
-
-def _gaussian_log_likelihood(
-    model: GaussianModel, row: Sequence[float], label: str
-) -> float:
-    if isinstance(row, SparseVector):
-        raise TypeError("gaussian model expects a sequence of real features")
-    if len(row) != model.n_features:
-        raise ValueError(f"expected {model.n_features} features, got {len(row)}")
-    mu = model.means[label]
-    sd = model.stds[label]
-    return sum(gaussian_log_density(x, mu[k], sd[k]) for k, x in enumerate(row))
-
-
-_LIKELIHOODS = {
-    CategoricalModel: _categorical_log_likelihood,
-    BernoulliModel: _text_log_likelihood,
-    MultinomialModel: _text_log_likelihood,
-    GaussianModel: _gaussian_log_likelihood,
-}
-
-
 def log_likelihood(model: NaiveBayesModel, x, label: str) -> float:
     """Log P(x | label) under the model's variant; -inf on zero conditionals."""
-    likelihood = _LIKELIHOODS.get(type(model))
-    if likelihood is None:
+    if not isinstance(model, get_args(NaiveBayesModel)):
         raise TypeError(f"unknown model type: {type(model).__name__}")
-    return likelihood(model, x, label)
+    return model.log_likelihood(x, label)
 
 
 def posterior_scores(model: NaiveBayesModel, x) -> PosteriorReport:
@@ -504,7 +484,7 @@ def posterior_scores(model: NaiveBayesModel, x) -> PosteriorReport:
     priors = model.priors
     log_priors = priors.log_probabilities
     scores = {
-        label: log_priors[label] + log_likelihood(model, x, label)
+        label: log_priors[label] + model.log_likelihood(x, label)
         for label in priors.labels
     }
     best = max(scores.values())

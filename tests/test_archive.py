@@ -280,6 +280,16 @@ def test_model_must_match_variant(toy_shapes):
         ModelArchive("gaussian", model)
 
 
+def test_archive_refuses_a_weighting_its_variant_does_not_take(data_dir):
+    # a Bernoulli model scores binary vectors only, and a row model takes none
+    archive, _ = _text_archive(data_dir, "bernoulli", BINARY)
+    with pytest.raises(ValueError, match="bernoulli takes binary weighting, not 'tfidf'"):
+        dataclasses.replace(archive, weighting=TFIDF)
+    model = fit_gaussian([[0.0], [1.0], [5.0], [6.0]], ["a", "a", "b", "b"])
+    with pytest.raises(ValueError, match="gaussian takes no weighting, not 'raw_count'"):
+        ModelArchive("gaussian", model, weighting=RAW_COUNT)
+
+
 def test_train_resolves_the_default_weighting(tmp_path, data_dir):
     labels, texts = _training_data("multinomial", data_dir, None)
     save_archive(train("multinomial", labels, texts), tmp_path / "default.json")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import select
 import shutil
 import subprocess
@@ -108,6 +109,33 @@ _CORRUPTIONS = {
 
 _QUERIES = {"multinomial": "free prize call now", "bernoulli": "free prize call now",
             "categorical": "blue square", "gaussian": "1 1"}
+
+
+# what the byte fuzz writes in place of one JSON value
+_SUBSTITUTES = (b"NaN", b"Infinity", b"-Infinity", b"1e308", b"-0.0", b"9" * 5000,
+                b"[" * 5000)
+
+
+def _fuzz(data, rng):
+    """One mutation of archive bytes: a truncation, one to four bit flips, or (in
+    half the cases) one leaf value replaced by a float extreme, a 5,000-digit int
+    or deep nesting."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return data[: rng.randrange(len(data))]
+    if kind == 1:
+        out = bytearray(data)
+        for _ in range(rng.randint(1, 4)):
+            out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+        return bytes(out)
+    doc = json.loads(data)
+    *parents, key = rng.choice(list(_leaf_paths(doc)))
+    table = doc
+    for part in parents:
+        table = table[part]
+    table[key] = "\x00"
+    text = json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    return text.replace(b'"\\u0000"', rng.choice(_SUBSTITUTES), 1)
 
 
 def _train_variant(tmp_path, corpus_path, toy_csv_path, variant):
@@ -628,6 +656,9 @@ class TestPredict:
          "class_doc_counts must be the class sizes the priors count"),
         ("categorical", lambda doc: _scale_class(doc, "+", 3),
          "class_counts must be the class sizes the priors count"),
+        # a document count that differs from the prior total
+        ("multinomial", lambda doc: doc["vocabulary"].update(total_documents=600),
+         "total_documents must be the priors total, 60"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
             "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
@@ -646,7 +677,7 @@ class TestPredict:
             "counts-true", "labels-duplicate", "counts-longer", "counts-shorter",
             "total-float", "format_version-true", "tf_sums-true", "n_features-float",
             "n_features-true", "not-utf-8", "class_doc_counts-scaled",
-            "class-sizes-scaled"])
+            "class-sizes-scaled", "total_documents-scaled"])
     def test_malformed_archive(
         self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
     ):
@@ -695,6 +726,25 @@ class TestPredict:
                     first = resaved.read_bytes()
                     save_archive(load_archive(resaved), resaved)
                     assert resaved.read_bytes() == first, where
+
+    def test_fuzzed_archive_bytes_answer_or_fail_cleanly(
+        self, tmp_path, corpus_path, toy_csv_path, capsys
+    ):
+        """Seeded byte-level mutations of an archive of each variant: predict
+        answers, or exits 1 or 2 with one error line; no exception escapes."""
+        rng = random.Random(19)
+        broken = tmp_path / "fuzzed.json"
+        for variant in VARIANTS:
+            data = _train_variant(tmp_path, corpus_path, toy_csv_path, variant).read_bytes()
+            for case in range(250):
+                broken.write_bytes(_fuzz(data, rng))
+                capsys.readouterr()
+                code = main(["predict", "--model", str(broken), _QUERIES[variant]])
+                err = capsys.readouterr().err
+                where = f"{variant} case {case}"
+                assert code in (0, 1, 2), where
+                if code:
+                    assert err.startswith("error: ") and err.count("\n") == 1, where
 
     def test_short_bernoulli_row(self, tmp_path, corpus_path, capsys):
         model_path = tmp_path / "bernoulli.json"
