@@ -138,6 +138,14 @@ def _scale(table: dict, factor: int) -> None:
         table[key] *= factor
 
 
+def _respell(label: str, key: str, spelling: str) -> Callable[[bytes], bytes]:
+    """Write tf_sums[label]'s id ``key`` as ``spelling``, in its place."""
+    def change(doc: dict) -> None:
+        tf_sums = doc["parameters"]["tf_sums"]
+        tf_sums[label] = {spelling if k == key else k: w for k, w in tf_sums[label].items()}
+    return _edit_json(change)
+
+
 # name -> (source archive, edit); each edited archive is then given to predict
 MALFORMED = {
     "total-documents": ("sample-multinomial-stem-top5-tfidf-bigrams", _edit_json(
@@ -152,6 +160,15 @@ MALFORMED = {
         lambda doc: _scale(doc["parameters"]["class_counts"], 2))),
     "truncated": ("sms-bernoulli", lambda data: data[: len(data) // 2]),
     "not-utf-8": ("numeric-gaussian", lambda data: data.replace(b'"a"', b'"\xff"', 1)),
+    "class-totals-401-digits": ("sample-multinomial", _edit_json(
+        lambda doc: doc["parameters"]["class_totals"].update(spam=10**400))),
+    "mean-401-digits": ("numeric-gaussian", _edit_json(
+        lambda doc: doc["parameters"]["means"]["a"].__setitem__(0, 10**400))),
+    "tf-sums-key-signed": ("sample-multinomial", _respell("ham", "12", " +12")),
+    "tf-sums-key-underscore": ("sample-multinomial", _respell("ham", "12", "1_2")),
+    "tf-sums-key-zero-padded": ("sample-multinomial", _respell("ham", "12", "012")),
+    "tf-sums-key-suffix": ("sample-multinomial", _respell("spam", "209", "209a")),
+    "tf-sums-key-float": ("sample-multinomial", _respell("ham", "1", "1.0")),
 }
 
 ERRORS = {

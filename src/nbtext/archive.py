@@ -7,6 +7,7 @@ a round-tripped model classifies identically and reproduces log-scores.
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
@@ -192,13 +193,26 @@ def _priors_from_payload(payload: dict) -> ClassPriors:
     return priors
 
 
+def _decode_tf_sums(tf_sums: dict) -> dict:
+    """tf_sums with its id keys as ints; a key must be the decimal form of its
+    int exactly, as json.dumps writes it (no sign, space, underscore or zero
+    padding)."""
+    out = {}
+    for label, sums in tf_sums.items():
+        weights = sums.values()  # first: a table that is no object is malformed
+        try:
+            ids = list(map(int, sums))
+            decimal = all(map(operator.eq, map(str, ids), sums))
+        except ValueError:
+            decimal = False
+        if not decimal:
+            raise ValueError(f"tf_sums[{label!r}] keys must be token ids in decimal")
+        out[label] = dict(zip(ids, weights))
+    return out
+
+
 # parameter fields whose JSON form differs from the dataclass value
-_FIELD_DECODERS = {
-    "tf_sums": lambda tf_sums: {
-        lab: dict(zip(map(int, sums), sums.values())) for lab, sums in tf_sums.items()
-    },
-    "value_counts": tuple,
-}
+_FIELD_DECODERS = {"tf_sums": _decode_tf_sums, "value_counts": tuple}
 
 
 def _model_payload(model: NaiveBayesModel) -> dict:

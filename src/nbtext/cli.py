@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 runtime or i/o failure, 2 usage error.
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -303,5 +304,25 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The program's entry: ``main`` on the command line, then both output
+    streams flushed and the process ended with ``os._exit``. Every file the
+    commands open is closed by then, so interpreter teardown (and with it any
+    ``atexit`` hook) is skipped. Output that cannot be written, such as a
+    full disk or a closed pipe, is one error line and exit code 1."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:  # else main has already said what went wrong
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+    try:
+        sys.stderr.flush()
+    except OSError:
+        code = code or 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,7 +12,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_args
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_args
+)
 
 from .vectorize import SparseVector, Vocabulary
 
@@ -42,16 +44,10 @@ __all__ = [
 _PRIOR_SUM_TOL = 1e-12
 
 
-class _Row(list):
-    """A dense per-id table read like a dict: ids outside it give the default."""
-
-    def get(self, i: int, default: float) -> float:
-        return self[i] if 0 <= i < len(self) else default
-
-
 # Text models are linear (McCallum & Nigam 1998): log P(x | c) = base_c + sum_i
-# w_i * theta_c.get(i, unseen_c) over the ids in x; tables cost O(entries) once.
-LinearForm = Tuple[float, Union[Dict[int, float], _Row], float]
+# w_i * theta_c(i, unseen_c) over the ids in x, theta_c giving unseen_c for an id
+# it does not hold; tables cost O(entries) once.
+LinearForm = Tuple[float, Callable[[int, float], float], float]
 
 
 def _log(p: float) -> float:
@@ -217,13 +213,19 @@ def _text_log_likelihood(model, vec: SparseVector, label: str) -> float:
     if not isinstance(vec, SparseVector):
         raise TypeError("text model expects a SparseVector")
     base, theta, unseen = model.linear_form[label]
-    terms = [w * theta.get(i, unseen) for i, w in vec.entries.items()]
+    terms = [w * theta(i, unseen) for i, w in vec.entries.items()]
     # fsum rounds once, whatever the order of its terms, so token order cannot matter
     try:
         return base + math.fsum(terms)
     except OverflowError:
         # finite terms past the float range; a multinomial's are all <= 0, so -inf
         return base + sum(terms)
+
+
+def _by_count(table: Dict[int, float], counts: List[int]) -> Callable[[int, float], float]:
+    """id i -> table[counts[i]]; ids outside ``counts`` give the default."""
+    n = len(counts)
+    return lambda i, default: table[counts[i]] if 0 <= i < n else default
 
 
 @dataclass(frozen=True)
@@ -265,15 +267,16 @@ class BernoulliModel:
 
     @cached_property
     def linear_form(self) -> Dict[str, LinearForm]:
-        """Per class: (sum_i log(1 - p_i), [log p_i - log(1 - p_i) per id], 0.0)."""
-        # p_i depends only on df_i, so the logs are taken once per distinct count
+        """Per class: (sum_i log(1 - p_i), id i -> log p_i - log(1 - p_i), 0.0)."""
+        # p_i depends only on df_i, so the logs are taken once per distinct
+        # count, and an id's delta is read through its count when it is scored
         out = {}
         for label in self.priors.labels:
             df = self.doc_counts[label]
             den = self.class_doc_counts[label] + 2
             log_q = {n: math.log((den - n - 1) / den) for n in set(df)}
             delta = {n: math.log((n + 1) / den) - q for n, q in log_q.items()}
-            out[label] = (math.fsum(map(log_q.get, df)), _Row(map(delta.get, df)), 0.0)
+            out[label] = (math.fsum(map(log_q.get, df)), _by_count(delta, df), 0.0)
         return out
 
 
@@ -334,9 +337,13 @@ class MultinomialModel:
             # training adds the totals with += in document order, so they
             # match the exact sum only to rounding
             total = self.class_totals.get(label)
-            if type(total) not in (int, float) or not math.isclose(
-                total, exact, rel_tol=1e-9
-            ):
+            try:
+                matches = type(total) in (int, float) and math.isclose(
+                    total, exact, rel_tol=1e-9
+                )
+            except OverflowError:  # an int total past the float range
+                matches = False
+            if not matches:
                 raise ValueError(
                     f"class_totals[{label!r}] must be the sum of tf_sums[{label!r}]"
                 )
@@ -359,7 +366,8 @@ class MultinomialModel:
         for label in self.priors.labels:
             sums = self.tf_sums[label]
             log_p = {tf: _log(self._estimate(label, tf)) for tf in {0.0, *sums.values()}}
-            out[label] = (0.0, dict(zip(sums, map(log_p.get, sums.values()))), log_p[0.0])
+            theta = dict(zip(sums, map(log_p.get, sums.values())))
+            out[label] = (0.0, theta.get, log_p[0.0])
         return out
 
 
@@ -410,7 +418,11 @@ class GaussianModel:
         rows = [*self.means.values(), *self.stds.values()]
         if any(len(row) != self.n_features for row in rows):
             raise ValueError("means and stds rows must have n_features entries")
-        if not all(math.isfinite(x) for row in rows for x in row):
+        try:
+            finite = all(math.isfinite(x) for row in rows for x in row)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise ValueError("means and stds must be finite numbers")
         if not all(sd > 0 for row in self.stds.values() for sd in row):
             raise ValueError("stds must be > 0")

@@ -69,6 +69,15 @@ def _true_weight(doc):
     sums[first] = True
 
 
+def _respell(label, key, spelling):
+    """A corruption that writes tf_sums[label]'s id ``key`` as ``spelling``,
+    keeping its weight and its place."""
+    def corrupt(doc):
+        tf_sums = doc["parameters"]["tf_sums"]
+        tf_sums[label] = {spelling if k == key else k: w for k, w in tf_sums[label].items()}
+    return corrupt
+
+
 def _scale_class(doc, label, factor):
     """Multiply one class's categorical counts by ``factor``, keeping every
     value_counts table summing to its class_counts."""
@@ -111,15 +120,16 @@ _QUERIES = {"multinomial": "free prize call now", "bernoulli": "free prize call 
             "categorical": "blue square", "gaussian": "1 1"}
 
 
-# what the byte fuzz writes in place of one JSON value
+# what the byte fuzz writes in place of one JSON value; a 401-digit int passes
+# the JSON parser but not float(), and a 5,000-digit one fails in the parser
 _SUBSTITUTES = (b"NaN", b"Infinity", b"-Infinity", b"1e308", b"-0.0", b"9" * 5000,
-                b"[" * 5000)
+                b"[" * 5000, b"1" + b"0" * 400)
 
 
 def _fuzz(data, rng):
     """One mutation of archive bytes: a truncation, one to four bit flips, or (in
-    half the cases) one leaf value replaced by a float extreme, a 5,000-digit int
-    or deep nesting."""
+    half the cases) one leaf value replaced by a float extreme, a 401- or
+    5,000-digit int or deep nesting."""
     kind = rng.randrange(4)
     if kind == 0:
         return data[: rng.randrange(len(data))]
@@ -659,6 +669,17 @@ class TestPredict:
         # a document count that differs from the prior total
         ("multinomial", lambda doc: doc["vocabulary"].update(total_documents=600),
          "total_documents must be the priors total, 60"),
+        # a total past the float range, and id keys that int() reads but that
+        # are not the decimal form of their id
+        ("multinomial", lambda doc: doc["parameters"]["class_totals"].update(
+            spam=10**400), "class_totals['spam'] must be the sum of tf_sums['spam']"),
+        ("multinomial", _respell("ham", "12", " +12"), "tf_sums['ham'] keys"),
+        ("multinomial", _respell("ham", "12", "1_2"), "tf_sums['ham'] keys"),
+        ("multinomial", _respell("ham", "12", "012"), "tf_sums['ham'] keys"),
+        ("multinomial", _respell("spam", "209", "209a"), "tf_sums['spam'] keys"),
+        ("multinomial", _respell("ham", "1", "1.0"), "tf_sums['ham'] keys"),
+        ("gaussian", lambda doc: doc["parameters"]["means"]["a"].__setitem__(0, 10**400),
+         "means and stds must be finite numbers"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
             "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
@@ -677,7 +698,9 @@ class TestPredict:
             "counts-true", "labels-duplicate", "counts-longer", "counts-shorter",
             "total-float", "format_version-true", "tf_sums-true", "n_features-float",
             "n_features-true", "not-utf-8", "class_doc_counts-scaled",
-            "class-sizes-scaled", "total_documents-scaled"])
+            "class-sizes-scaled", "total_documents-scaled", "class_totals-401-digits",
+            "tf_sums-key-signed", "tf_sums-key-underscore", "tf_sums-key-zero-padded",
+            "tf_sums-key-suffix", "tf_sums-key-float", "mean-401-digits"])
     def test_malformed_archive(
         self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
     ):
@@ -1059,3 +1082,63 @@ def test_cli_and_train_enforce_one_rule_set(
             except ValueError:
                 expected = 2
             assert code == expected, argv
+
+
+def _buffered_env():
+    """The environment of a fresh ``python -m nbtext.cli`` with stdout block
+    buffered, as it is on a file or a pipe when PYTHONUNBUFFERED is unset."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestOutputFailure:
+    """Output that cannot be written is one error line and exit code 1, whether
+    the write fails inside a command or when the program's exit flushes it."""
+
+    @pytest.mark.parametrize("command", ["train", "predict", "inspect", "evaluate"])
+    def test_stdout_on_a_full_device(self, tmp_path, corpus_path, command):
+        model_path = _train(tmp_path, corpus_path)
+        argv = {
+            "train": ["--input", str(corpus_path), "--model", str(tmp_path / "m.json"),
+                      "--variant", "bernoulli"],
+            "predict": ["--model", str(model_path), "free prize"],
+            "inspect": ["--model", str(model_path), "--top-k", "3"],
+            "evaluate": ["--input", str(corpus_path), "--variant", "multinomial"],
+        }[command]
+        with open("/dev/full", "wb") as full:
+            res = subprocess.run(
+                [sys.executable, "-m", "nbtext.cli", command, *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env=_buffered_env(), timeout=60,
+            )
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+
+    def test_predict_into_a_pipe_closed_after_its_first_line(self, tmp_path, corpus_path):
+        model_path = _train(tmp_path, corpus_path)
+        line = b"free prize call now\n"
+        # unbuffered, so that no line waits in this process once predict is gone
+        with subprocess.Popen(
+            [sys.executable, "-m", "nbtext.cli", "predict", "--model", str(model_path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            bufsize=0, env=_buffered_env(),
+        ) as proc:
+            try:
+                # the reader goes away after one answer, as `| head -1` does,
+                # and only then do the other 1,999 lines arrive
+                proc.stdin.write(line)
+                assert proc.stdout.readline() == b"spam\n"
+                proc.stdout.close()
+                try:
+                    proc.stdin.write(line * 1999)
+                except BrokenPipeError:  # predict has already stopped reading
+                    pass
+                proc.stdin.close()
+                assert proc.wait(timeout=60) == 1
+                err = proc.stderr.read().decode()
+            finally:
+                proc.kill()
+        assert err.startswith("error: ") and err.count("\n") == 1, err

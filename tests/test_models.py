@@ -246,6 +246,15 @@ class TestMultinomial:
         vec = SparseVector({1: 1}, 1)
         assert log_likelihood(model, vec, "c") == -math.inf
 
+    def test_tiny_alpha_keeps_an_unseen_token_finite(self):
+        # the unseen token's estimate is ~5e-306: tiny, but its log is finite
+        vocab = build_vocabulary([["t0", "t1"]])
+        model = fit_multinomial([SparseVector({0: 2}, 2)], ["c"], vocab, alpha=1e-305)
+        p = model.conditional("c", 1)
+        assert 0.0 < p < 1e-300
+        score = log_likelihood(model, SparseVector({1: 1}, 1), "c")
+        assert score == math.log(p) and math.isfinite(score)
+
     def test_spam_likelihood_product(self):
         # stored counts 20/100 and 2/100 give the "hello world" likelihood 0.004
         vocab = build_vocabulary([["hello", "world", "filler"]])

@@ -125,6 +125,12 @@ class TestStopWords:
         stops = build_stop_list([["a", "b", "c"], ["a", "b", "c"], ["a"]], 2)
         assert stops.words == {"a", "b"}
 
+    def test_tie_at_cutoff_compares_whole_tokens(self):
+        # ab and ba tie with 1 behind z; the cutoff takes ab, which comes first
+        # read left to right, though ba comes first read from the last letter
+        stops = build_stop_list([["z", "ba", "ab"], ["z"]], 2)
+        assert stops.words == {"z", "ab"}
+
     def test_zero_n_rejected(self):
         with pytest.raises(ValueError):
             build_stop_list([["x"]], 0)
