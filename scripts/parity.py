@@ -169,6 +169,10 @@ MALFORMED = {
     "tf-sums-key-zero-padded": ("sample-multinomial", _respell("ham", "12", "012")),
     "tf-sums-key-suffix": ("sample-multinomial", _respell("spam", "209", "209a")),
     "tf-sums-key-float": ("sample-multinomial", _respell("ham", "1", "1.0")),
+    "stop-words-string": ("sample-multinomial-stem-top5-tfidf-bigrams", _edit_json(
+        lambda doc: doc["stop_words"].update(words="ia"))),
+    "vocab-size-plus-one": ("sample-multinomial", _edit_json(
+        lambda doc: doc["parameters"].update(vocab_size=doc["parameters"]["vocab_size"] + 1))),
 }
 
 ERRORS = {

@@ -341,9 +341,10 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
         )
         stops = None
         if doc.get("stop_words"):
-            stops = StopList(
-                frozenset(doc["stop_words"]["words"]), doc["stop_words"]["origin"]
-            )
+            words = doc["stop_words"]["words"]
+            if type(words) is not list:  # frozenset would take a str's characters
+                raise ValueError("stop_words words must be a list")
+            stops = StopList(frozenset(words), doc["stop_words"]["origin"])
         vocab = None
         if doc.get("vocabulary"):
             v = doc["vocabulary"]

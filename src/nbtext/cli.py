@@ -309,8 +309,12 @@ def run() -> None:
     streams flushed and the process ended with ``os._exit``. Every file the
     commands open is closed by then, so interpreter teardown (and with it any
     ``atexit`` hook) is skipped. Output that cannot be written, such as a
-    full disk or a closed pipe, is one error line and exit code 1."""
-    code = main()
+    full disk or a closed pipe, is one error line and exit code 1. Ctrl-C ends
+    it with exit code 130, the shell's code for SIGINT, and no traceback."""
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        code = 130
     try:
         sys.stdout.flush()
     except OSError as exc:

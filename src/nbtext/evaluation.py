@@ -99,46 +99,33 @@ class EvaluationReport:
 def tally(
     pairs: Sequence[Tuple[str, str]], model_labels: Sequence[str]
 ) -> EvaluationReport:
-    """Score (true, predicted) pairs. True labels outside the model's
-    classes keep their own confusion rows; zero-denominator precision or
-    recall is reported as 0 and flagged."""
+    """Score (true, predicted) pairs, reading the whole report off the confusion
+    matrix. True labels outside the model's classes keep their own rows; a
+    zero-denominator precision, recall or F1 is reported as 0 and flagged."""
     if not pairs:
         raise ValueError("nothing to tally")
-    labels = list(dict.fromkeys(model_labels))
-    for true, _ in pairs:
-        if true not in labels:
-            labels.append(true)
-    labels.sort()
-    confusion: Dict[str, Dict[str, int]] = {t: {p: 0 for p in labels} for t in labels}
-    correct = 0
+    labels = sorted({*model_labels, *(true for true, _ in pairs)})
+    confusion = {t: dict.fromkeys(labels, 0) for t in labels}
     for true, pred in pairs:
         confusion[true][pred] += 1
-        if true == pred:
-            correct += 1
-    n = len(pairs)
-    per_label = {}
     flagged = set()
+
+    def ratio(label: str, num: float, den: float) -> float:
+        if den:
+            return num / den
+        flagged.add(label)
+        return 0.0
+
+    per_label = {}
     for lab in labels:
-        tp = confusion[lab][lab]
-        row_sum = sum(confusion[lab].values())
-        col_sum = sum(confusion[t][lab] for t in labels)
-        if col_sum == 0:
-            precision = 0.0
-            flagged.add(lab)
-        else:
-            precision = tp / col_sum
-        if row_sum == 0:
-            recall = 0.0
-            flagged.add(lab)
-        else:
-            recall = tp / row_sum
-        if precision + recall == 0.0:
-            f1 = 0.0
-            flagged.add(lab)
-        else:
-            f1 = 2 * precision * recall / (precision + recall)
-        per_label[lab] = LabelMetrics(precision, recall, f1, row_sum)
-    return EvaluationReport(correct / n, per_label, confusion, n, frozenset(flagged))
+        tp, support = confusion[lab][lab], sum(confusion[lab].values())
+        precision = ratio(lab, tp, sum(confusion[t][lab] for t in labels))
+        recall = ratio(lab, tp, support)
+        f1 = ratio(lab, 2 * precision * recall, precision + recall)
+        per_label[lab] = LabelMetrics(precision, recall, f1, support)
+    correct = sum(confusion[lab][lab] for lab in labels)
+    return EvaluationReport(correct / len(pairs), per_label, confusion, len(pairs),
+                            frozenset(flagged))
 
 
 def evaluate(

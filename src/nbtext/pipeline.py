@@ -73,9 +73,6 @@ class StopList:
         if not all(type(w) is str and w for w in self.words):
             raise ValueError("stop words must be non-empty strings")
 
-    def __contains__(self, token):
-        return token in self.words
-
 
 def _strip_boundary_punctuation(token: str) -> str:
     start, end = 0, len(token)

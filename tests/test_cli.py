@@ -5,6 +5,7 @@ import os
 import random
 import select
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -283,6 +284,25 @@ class TestTrain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--stop-words", "dict:"], "--stop-words dict: needs a file path"),
+        (["--stop-words", "top:x"], "--stop-words top: needs an integer"),
+        (["--stop-words", "top:0"], "--stop-words top:N needs N >= 1"),
+        (["--ngram", "0"], "--ngram must be >= 1"),
+    ], ids=["dict-without-path", "top-not-int", "top-zero", "ngram-zero"])
+    def test_bad_pipeline_value_is_one_usage_line(
+        self, tmp_path, corpus_path, capsys, flags, message
+    ):
+        code = main(
+            ["train", "--input", str(corpus_path), "--model", str(tmp_path / "m"),
+             "--variant", "multinomial", *flags]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "m").exists()
+
     def test_unknown_flag(self, corpus_path):
         assert main(["train", "--input", str(corpus_path), "--bogus"]) == 2
 
@@ -403,6 +423,30 @@ class TestPredict:
             finally:
                 proc.kill()
 
+    @pytest.mark.skipif(os.name != "posix", reason="sends SIGINT")
+    def test_interrupt_after_an_answer_exits_130_without_traceback(
+        self, tmp_path, corpus_path
+    ):
+        model_path = _train(tmp_path, corpus_path)
+        with subprocess.Popen(
+            [sys.executable, "-m", "nbtext.cli", "predict", "--model", str(model_path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=_buffered_env(),
+        ) as proc:
+            try:
+                proc.stdin.write("WINNER! Claim your free cash prize now\n")
+                proc.stdin.flush()
+                ready, _, _ = select.select([proc.stdout], [], [], 60)
+                assert ready, "no answer before stdin was closed"
+                assert proc.stdout.readline() == "spam\n"
+                # predict now waits on stdin for its next line, as at a terminal
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=60) == 130
+                assert proc.stdout.read() == ""
+                assert proc.stderr.read() == ""
+            finally:
+                proc.kill()
+
     def test_undecodable_stdin_line_fails_after_earlier_answers(
         self, tmp_path, corpus_path
     ):
@@ -489,6 +533,19 @@ class TestPredict:
         # all tokens unknown: prediction falls back to the larger prior
         captured = capsys.readouterr()
         assert captured.out.strip() == "ham"
+
+    def test_no_usable_evidence_warns_and_answers_by_the_prior(
+        self, tmp_path, corpus_path, capsys
+    ):
+        # at alpha 0 "prize" is seen only in spam and "lunch" only in ham, so
+        # every class scores -inf: the posteriors are uniform and the larger
+        # prior decides
+        model_path = _train(tmp_path, corpus_path, "--alpha", "0")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--probs", "prize lunch"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: no usable evidence; falling back to class priors\n"
+        assert captured.out == "ham\tham=0.500000 spam=0.500000\n"
 
     def test_class_emptied_by_the_pipeline_at_alpha_zero(self, tmp_path):
         # spam's documents are empty after the pipeline, so its estimates are 0/0
@@ -680,6 +737,17 @@ class TestPredict:
         ("multinomial", _respell("ham", "1", "1.0"), "tf_sums['ham'] keys"),
         ("gaussian", lambda doc: doc["parameters"]["means"]["a"].__setitem__(0, 10**400),
          "means and stds must be finite numbers"),
+        # a vocab_size that passes the tf_sums range check, and stop words that
+        # frozenset would read as characters or keys
+        ("multinomial", lambda doc: doc["parameters"].update(
+            vocab_size=doc["parameters"]["vocab_size"] + 1),
+         "vocab_size must be the token count, 296"),
+        ("multinomial", lambda doc: doc.update(
+            stop_words={"origin": "frequency(5)", "words": "ia"}),
+         "stop_words words must be a list"),
+        ("multinomial", lambda doc: doc.update(
+            stop_words={"origin": "dictionary", "words": {"the": 1}}),
+         "stop_words words must be a list"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
             "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
@@ -700,7 +768,8 @@ class TestPredict:
             "n_features-true", "not-utf-8", "class_doc_counts-scaled",
             "class-sizes-scaled", "total_documents-scaled", "class_totals-401-digits",
             "tf_sums-key-signed", "tf_sums-key-underscore", "tf_sums-key-zero-padded",
-            "tf_sums-key-suffix", "tf_sums-key-float", "mean-401-digits"])
+            "tf_sums-key-suffix", "tf_sums-key-float", "mean-401-digits",
+            "vocab_size-plus-one", "stop-words-string", "stop-words-object"])
     def test_malformed_archive(
         self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
     ):
@@ -1034,6 +1103,21 @@ class TestInspect:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "--top-k" in captured.err
+
+    @pytest.mark.parametrize("flag,note", [
+        (["--top-k", "3"], "note: --top-k applies to text variants only"),
+        (["--dump-vocab"], "note: this model has no vocabulary"),
+    ], ids=["top-k", "dump-vocab"])
+    def test_row_variant_notes_what_it_lacks(self, tmp_path, toy_csv_path, capsys,
+                                             flag, note):
+        model_path = tmp_path / "toy.json"
+        assert main(["train", "--input", str(toy_csv_path), "--model", str(model_path),
+                     "--variant", "categorical"]) == 0
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(model_path), *flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == note + "\n"
+        assert captured.out.startswith("variant: categorical\n")
 
     def test_dump_vocab(self, tmp_path, corpus_path, capsys):
         model_path = _train(tmp_path, corpus_path)

@@ -73,6 +73,10 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError):
             load_corpus(path)
 
+    def test_corpus_without_documents_rejected(self):
+        with pytest.raises(ValueError, match="at least one document"):
+            LabeledCorpus(())
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_corpus(tmp_path / "absent.tsv")
@@ -241,6 +245,10 @@ class TestTally:
         report = tally([("a", "a"), ("b", "a")], ["a", "b"])
         assert report.per_label["b"].precision == 0.0
         assert "b" in report.zero_division_labels
+
+    def test_no_pairs_rejected(self):
+        with pytest.raises(ValueError, match="nothing to tally"):
+            tally([], ["a"])
 
     def test_unknown_true_label_gets_a_row(self):
         report = tally([("a", "a"), ("mystery", "a")], ["a", "b"])

@@ -79,6 +79,8 @@ class TestPriors:
             ClassPriors({"a": 0.0, "b": 1.0})
         with pytest.raises(ValueError):
             ClassPriors({})
+        with pytest.raises(ValueError, match="counts and total must be supplied together"):
+            ClassPriors({"a": 1.0}, {"a": 1})
 
     def test_forced_probabilities_have_no_counts(self):
         priors = ClassPriors.from_probabilities({"a": 0.5, "b": 0.5})
@@ -340,6 +342,19 @@ class TestInputValidation:
         model = fit_categorical(*toy_shapes, alpha=0.0)
         with pytest.raises(ValueError):
             log_likelihood(model, ("blue",), "+")
+
+    @pytest.mark.parametrize("row,error,message", [
+        (SparseVector({0: 1}, 1), TypeError, "sequence of real features"),
+        ([1.0, 2.0], ValueError, "expected 1 features, got 2"),
+    ], ids=["sparse-vector", "wrong-width"])
+    def test_gaussian_query_shape(self, row, error, message):
+        model = fit_gaussian([[4.0], [6.0]], ["c", "c"])
+        with pytest.raises(error, match=message):
+            log_likelihood(model, row, "c")
+
+    def test_unknown_model_type_rejected(self):
+        with pytest.raises(TypeError, match="unknown model type: object"):
+            log_likelihood(object(), [], "a")
 
     @pytest.mark.parametrize("fit", [fit_bernoulli, fit_multinomial])
     @pytest.mark.parametrize("labels", [[], ["a"], ["a", "b", "a"]],

@@ -106,6 +106,10 @@ class TestVectorize:
         assert vec.entries == {}
         assert vec.doc_length == 0
 
+    def test_negative_doc_length_rejected(self):
+        with pytest.raises(ValueError, match="doc_length must be nonnegative"):
+            SparseVector({}, -1)
+
     def test_unknown_mode_rejected(self, two_doc_vocab):
         with pytest.raises(ValueError):
             vectorize(D1, two_doc_vocab, "hashed")
