@@ -12,11 +12,12 @@ tree's ``src/`` is copied beside it. A fixed matrix of invocations then runs
 against each tree as ``python -m nbtext.cli`` subprocesses with
 ``PYTHONHASHSEED=0``, each from its own run directory that holds the same
 inputs under the same relative paths: ``tests/data/sample_messages.tsv``,
-600 SMS and 150 topics documents from ``perfbench/corpus.py``, and small CSVs.
-The matrix trains, predicts (``--probs`` on an argument, and over stdin),
-inspects (``--top-k 3 --dump-vocab``) and evaluates (``--report-out``) with
-seven text configurations and both row variants, then runs usage and input
-errors and predicts from malformed archives.
+600 SMS and 150 topics documents from ``perfbench/corpus.py``, the 20
+``TEXT_EDGES`` documents, and small CSVs. The matrix trains, predicts
+(``--probs`` on an argument, and over stdin), inspects (``--top-k 3
+--dump-vocab``) and evaluates (``--report-out``) with nine text configurations
+and both row variants, then runs usage and input errors and predicts from
+malformed archives.
 
 For every case the stdout, stderr, exit code and each file the case wrote are
 compared. Each case that differs is printed. The exit code is 1 when a case
@@ -43,6 +44,36 @@ ROOT = Path(__file__).resolve().parents[1]
 # run-directory inputs, by relative path
 SAMPLE, SMS, TOPICS = "data/sample.tsv", "data/sms.tsv", "data/topics.tsv"
 SHAPES, NUMERIC, STOP_LIST = "data/shapes.csv", "data/numeric.csv", "data/stop.txt"
+EDGES = "data/text-edges.tsv"
+
+# the edge cases of train's piece table: pieces that strip to nothing, one word
+# written three ways, the bare word "s" (its stem is empty), a stop word that
+# only appears capitalized, texts shorter than a trigram, and non-ASCII and
+# non-alphabetic pieces
+TEXT_EDGES = (
+    ("spam", "Free prize... call now"),
+    ("spam", "free! free! (free) -- The prize"),
+    ("ham", "The s and s"),
+    ("spam", "(Free)"),
+    ("ham", "The lunch is at noon"),
+    ("ham", "s"),
+    ("ham", "The café naïve"),
+    ("spam", "WIN £500 now!!! 4u"),
+    ("ham", "... --"),
+    ("ham", "The meeting moved -- see you"),
+    ("spam", "Call 0800 free now"),
+    ("ham", "日本語 «quoted» The"),
+    ("spam", "free prize 100%"),
+    ("ham", "The cats' toys"),
+    ("ham", "ok"),
+    ("spam", "Claim your (free) prize: call"),
+    ("ham", "The running runner runs"),
+    ("spam", "Free, free, FREE"),
+    ("ham", "See The notes"),
+    ("spam", "prize s call"),
+)
+TEXT_EDGE_QUERIES = ("Free s\n", "... --\n", "The prize (free)!\n", "call now 4u café\n",
+                     "The\n", "naïve running s s s\n")
 
 
 @dataclass
@@ -101,6 +132,8 @@ def write_inputs(run_dir: Path) -> None:
     )
     (data / "numeric.txt").write_text("0 0\n3,-3\n1.5 -1.5\n", "utf-8")
     (run_dir / STOP_LIST).write_text("the\nto\nyou\na\nand\n", "utf-8")
+    (run_dir / EDGES).write_text("".join(f"{a}\t{t}\n" for a, t in TEXT_EDGES), "utf-8")
+    (data / "text-edges.txt").write_text("".join(TEXT_EDGE_QUERIES), "utf-8")
 
 
 TEXT_CONFIGS = (
@@ -117,6 +150,10 @@ TEXT_CONFIGS = (
      ["--variant", "multinomial", "--stem", "on", "--stop-words", "top:20"]),
     ("topics-tfidf-bigrams", TOPICS,
      ["--variant", "multinomial", "--weighting", "tfidf", "--ngram", "2"]),
+    ("text-edges-multinomial-stem-top3", EDGES,
+     ["--variant", "multinomial", "--stem", "on", "--stop-words", "top:3"]),
+    ("text-edges-bernoulli-trigrams-cased", EDGES,
+     ["--variant", "bernoulli", "--ngram", "3", "--lowercase", "off"]),
 )
 ROW_CONFIGS = (
     ("shapes-categorical", SHAPES, ["--variant", "categorical", "--alpha", "0.5"],
@@ -173,6 +210,13 @@ MALFORMED = {
         lambda doc: doc["stop_words"].update(words="ia"))),
     "vocab-size-plus-one": ("sample-multinomial", _edit_json(
         lambda doc: doc["parameters"].update(vocab_size=doc["parameters"]["vocab_size"] + 1))),
+    "tokens-string": ("sample-multinomial", _edit_json(
+        lambda doc: doc["vocabulary"].update(tokens="".join(
+            chr(0x4E00 + i) for i in range(len(doc["vocabulary"]["tokens"])))))),
+    "origin-list": ("sample-multinomial-stem-top5-tfidf-bigrams", _edit_json(
+        lambda doc: doc["stop_words"].update(origin=["x"]))),
+    "origin-int": ("sample-multinomial-stem-top5-tfidf-bigrams", _edit_json(
+        lambda doc: doc["stop_words"].update(origin=7))),
 }
 
 ERRORS = {

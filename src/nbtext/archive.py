@@ -25,14 +25,9 @@ from .models import (
     fit_gaussian,
     multinomial_from_entries,
 )
-from .pipeline import (
-    PipelineConfig,
-    StopList,
-    build_stop_list,
-    run_pipeline,
-    run_stages,
-    tokenize,
-)
+# tokenize, the per-text form of token_streams' first rules, stays bound here
+# for code that patches the text step of train
+from .pipeline import PipelineConfig, StopList, run_pipeline, token_streams, tokenize
 from .vectorize import (
     BINARY,
     NORMALIZED_TF,
@@ -40,7 +35,7 @@ from .vectorize import (
     TFIDF,
     SparseVector,
     Vocabulary,
-    VocabularyCounter,
+    index_streams,
     vectorize,
     weigh,
 )
@@ -252,8 +247,9 @@ def train(
     (None: the variant's default); otherwise rows of cells, parsed by the
     cell rule of ``encode``, and the pipeline settings are ignored. A config
     asking for a frequency stop list with ``stops`` None builds it from the
-    texts. Each text is counted once: its tokens become vocabulary ids as its
-    stages finish, and each id list, weighted by ``weigh``, goes straight into
+    texts. The texts are read twice (see ``token_streams``): the text rules run
+    once per distinct whitespace piece, each text then becomes a list of
+    vocabulary ids, and each id list, weighted by ``weigh``, goes straight into
     the class sums. The model is the one ``fit_bernoulli`` or
     ``fit_multinomial`` gives over ``build_vocabulary`` and ``vectorize``.
     Variants that smooth with ``alpha`` need a finite number >= 0 that keeps
@@ -268,22 +264,11 @@ def train(
     if not spec.text:
         rows = [[spec.cell(v) for v in row] for row in inputs]
         return ModelArchive(variant, spec.fit(rows, labels, *smoothing))
-    # each text is tokenized once, its list sharing one string per distinct token
-    # until the stages run, which keeps peak memory near that of the finished streams
-    canon = {}
-    tokenized = (tokenize(text, pipeline_config) for text in inputs)
-    streams = [list(map(canon.setdefault, t, t)) for t in tokenized]
-    del canon  # the stages allocate into the memory it frees
-    if stops is None and pipeline_config.stop_word_mode == "frequency":
-        stops = build_stop_list(streams, pipeline_config.frequency_top_n)
-    # the id lists replace the token lists, so each text's strings are freed
-    # as its ids are counted
-    counter = VocabularyCounter()
-    for i, tokens in enumerate(streams):
-        streams[i] = counter.add(run_stages(tokens, pipeline_config, stops))
-    vocab = counter.vocabulary()
-    del counter  # the class sums allocate into the memory its tables free
-    tables = (weigh(ids, len(ids), vocab, weighting) for ids in streams)
+    # the piece table behind the streams is freed before the document
+    # frequencies are counted
+    streams, stops = token_streams(inputs, pipeline_config, stops)
+    id_lists, vocab = index_streams(streams)
+    tables = (weigh(ids, len(ids), vocab, weighting) for ids in id_lists)
     model = spec.fit(tables, labels, len(vocab), *smoothing)
     return ModelArchive(variant, model, pipeline_config, vocab, weighting, stops)
 
@@ -348,6 +333,8 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
         vocab = None
         if doc.get("vocabulary"):
             v = doc["vocabulary"]
+            if type(v["tokens"]) is not list:  # enumerate would take a str's characters
+                raise ValueError("vocabulary tokens must be a list")
             vocab = Vocabulary(
                 {tok: i for i, tok in enumerate(v["tokens"])},
                 v["document_frequency"],

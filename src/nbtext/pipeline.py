@@ -9,10 +9,11 @@ lists are immutable once built.
 import heapq
 import io
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .porter import porter_stem
 
@@ -33,6 +34,7 @@ __all__ = [
     "ngrams",
     "run_pipeline",
     "run_stages",
+    "token_streams",
 ]
 
 STOP_WORD_MODES = ("none", "dictionary", "frequency")
@@ -72,6 +74,8 @@ class StopList:
     def __post_init__(self):
         if not all(type(w) is str and w for w in self.words):
             raise ValueError("stop words must be non-empty strings")
+        if type(self.origin) is not str:
+            raise ValueError("stop list origin must be a string")
 
 
 def _strip_boundary_punctuation(token: str) -> str:
@@ -83,23 +87,34 @@ def _strip_boundary_punctuation(token: str) -> str:
     return token[start:end]
 
 
+def _clean(pieces: list, config: PipelineConfig) -> list:
+    """Each whitespace piece as its token, in order: boundary punctuation
+    trimmed and lowercased as ``config`` asks; "" if trimming empties it."""
+    if config.strip_punctuation:
+        # no code point is both alphanumeric and punctuation, so a piece with an
+        # alphanumeric first and last character has nothing to strip; pieces
+        # come from str.split() and are never empty
+        strip = _strip_boundary_punctuation
+        pieces = [p if p[0].isalnum() and p[-1].isalnum() else strip(p) for p in pieces]
+    if config.lowercase:
+        # a string whose cased letters are all lowercase is kept, not copied
+        pieces = [p if p.islower() else p.lower() for p in pieces]
+    return pieces
+
+
 def tokenize(text: str, config: PipelineConfig) -> list:
     """Split ``text`` on whitespace, optionally trimming boundary punctuation
     and lowercasing. Tokens emptied by punctuation stripping are dropped."""
-    tokens = text.split()
-    if config.strip_punctuation:
-        # no code point is both alphanumeric and punctuation, so a token with an
-        # alphanumeric first and last character has nothing to strip; tokens
-        # come from str.split() and are never empty
-        strip = _strip_boundary_punctuation
-        tokens = [
-            tok
-            for raw in tokens
-            if (tok := raw if raw[0].isalnum() and raw[-1].isalnum() else strip(raw))
-        ]
-    if config.lowercase:
-        tokens = [tok.lower() for tok in tokens]
-    return tokens
+    return list(filter(None, _clean(text.split(), config)))
+
+
+def _frequency_stop_list(counts: dict, n: int) -> StopList:
+    """The ``n`` tokens of ``counts`` (token -> occurrences) that occur most,
+    ties at the cutoff broken lexicographically. Only tokens that occur at
+    least as often as the n-th largest count are ranked."""
+    least = min(heapq.nlargest(n, counts.values()), default=0)
+    top = heapq.nsmallest(n, [(-c, tok) for tok, c in counts.items() if c >= least])
+    return StopList(frozenset(tok for _, tok in top), origin=f"frequency({n})")
 
 
 def build_stop_list(corpus: Iterable[list], n: int) -> StopList:
@@ -116,8 +131,7 @@ def build_stop_list(corpus: Iterable[list], n: int) -> StopList:
         counts.update(stream)
     if n_docs == 0:
         raise ValueError("corpus must be non-empty")
-    top = heapq.nsmallest(n, counts.items(), key=lambda item: (-item[1], item[0]))
-    return StopList(frozenset(tok for tok, _ in top), origin=f"frequency({n})")
+    return _frequency_stop_list(counts, n)
 
 
 def read_lines(lines: Iterable[str], name: str = "input") -> Iterator[Tuple[int, str]]:
@@ -233,7 +247,25 @@ def ngrams(stream: list, n: int) -> list:
         raise ValueError("n must be >= 1")
     if n == 1:
         return list(stream)
-    return [" ".join(stream[i : i + n]) for i in range(len(stream) - n + 1)]
+    if n > len(stream):  # before zip, which would take n slices
+        return []
+    return list(map(" ".join, zip(*(stream[i:] for i in range(n)))))
+
+
+def _stage(tokens: list, config: PipelineConfig, stops: Optional[StopList]) -> list:
+    """Each token after stop-word removal and stemming, in order; "" for a stop
+    word or an empty stem (bare "s"), and "" stays "". ``stops`` is required
+    when the config enables stop-word removal."""
+    if config.stop_word_mode != "none":
+        if stops is None:
+            raise ValueError(
+                f"stop_word_mode={config.stop_word_mode!r} requires a stop list"
+            )
+        words = stops.words
+        tokens = ["" if tok in words else tok for tok in tokens]
+    if config.stemming:
+        tokens = [porter_stem(tok) if tok else tok for tok in tokens]
+    return tokens
 
 
 def run_pipeline(
@@ -252,14 +284,34 @@ def run_stages(
     ``stops`` is required when the config enables stop-word removal. Stems
     that come back empty (bare "s") are dropped to keep streams well-formed.
     """
-    if config.stop_word_mode != "none":
-        if stops is None:
-            raise ValueError(
-                f"stop_word_mode={config.stop_word_mode!r} requires a stop list"
-            )
-        stream = remove_stop_words(stream, stops)
-    if config.stemming:
-        stream = [stem for tok in stream if (stem := porter_stem(tok))]
-    if config.ngram_size > 1:
-        stream = ngrams(stream, config.ngram_size)
-    return stream
+    tokens = _stage(stream, config, stops)
+    if tokens is not stream:  # a stage ran, so tokens may have been dropped
+        stream = list(filter(None, tokens))
+    return ngrams(stream, config.ngram_size) if config.ngram_size > 1 else stream
+
+
+def token_streams(
+    texts: Sequence[str], config: PipelineConfig, stops: Optional[StopList] = None
+) -> Tuple[Iterator[list], Optional[StopList]]:
+    """Each text's stream as ``run_pipeline`` gives it, lazily, and the stop
+    list: ``stops``, or for a frequency config given none, the one
+    ``build_stop_list`` gives over the texts' tokens. The rules run once per
+    distinct whitespace piece: a table maps each to its token before n-grams
+    ("" if dropped), and is freed with the last stream."""
+    table = Counter(chain.from_iterable(map(str.split, texts)))
+    pieces = list(table)
+    tokens = _clean(pieces, config)
+    if stops is None and config.stop_word_mode == "frequency":
+        counts = defaultdict(int)
+        for token, n in zip(tokens, table.values()):
+            counts[token] += n
+        counts.pop("", None)
+        stops = _frequency_stop_list(counts, config.frequency_top_n)
+    # each piece's token takes the place of its count
+    dict.update(table, zip(pieces, _stage(tokens, config, stops)))
+    n = config.ngram_size
+    streams = (
+        ngrams(list(filter(None, map(table.__getitem__, text.split()))), n)
+        for text in texts
+    )
+    return streams, stops

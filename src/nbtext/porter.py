@@ -48,6 +48,13 @@ _TABLE_STEPS = tuple(
     for rules, min_measure in ((_STEP2, 0), (_STEP3, 0), (_STEP4, 1))
 )
 
+# a word that ends in none of the suffixes the rules read (step 1's, the tables',
+# step 5's) leaves every step as it came; a suffix that ends in another is left out
+_READ = {"s", "eed", "ed", "ing", "y", "e", "ll"}.union(*(s for _, s, _ in _TABLE_STEPS))
+_ANY_SUFFIX = tuple(
+    sorted(s for s in _READ if not any(s != t and s.endswith(t) for t in _READ))
+)
+
 
 def _form(word):
     """One ``c`` or ``v`` per letter of ``word``."""
@@ -126,14 +133,18 @@ def porter_stem(word: str) -> str:
     long input stream cannot grow it without bound; ``porter_stem.__wrapped__``
     is the uncached stemmer.
     """
-    if not word or not word.isascii() or not word.isalpha() or not word.islower():
+    if not word.endswith(_ANY_SUFFIX) or not (
+        word.isascii() and word.isalpha() and word.islower()
+    ):
         return word
     word = _step1(word)
     # steps 2-4; a word that step 1 emptied ends with no suffix and passes through
     for rules, suffixes, min_measure in _TABLE_STEPS:
         if not word.endswith(suffixes):
             continue
-        suffix, replacement = next(rule for rule in rules if word.endswith(rule[0]))
+        for suffix, replacement in rules:
+            if word.endswith(suffix):
+                break
         stem = word[: -len(suffix)]
         # step 4's -ion also needs a stem ending in s or t
         if _measure(stem) > min_measure and (

@@ -4,7 +4,7 @@ Weighting modes: binary presence, raw term counts, length-normalized term
 frequency, and tf-idf (normalized tf times inverse document frequency).
 Out-of-vocabulary tokens never enter a vector's entries but still count
 toward its doc_length, so normalized tf uses the true document length.
-``VocabularyCounter`` and ``weigh`` are the counting and weighting steps
+``index_streams`` and ``weigh`` are the counting and weighting steps
 that ``build_vocabulary`` and ``vectorize`` share with ``archive.train``.
 """
 
@@ -14,7 +14,7 @@ import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "BINARY",
@@ -24,7 +24,7 @@ __all__ = [
     "WEIGHTING_MODES",
     "Vocabulary",
     "SparseVector",
-    "VocabularyCounter",
+    "index_streams",
     "build_vocabulary",
     "weigh",
     "vectorize",
@@ -102,37 +102,23 @@ class SparseVector:
             raise ValueError("doc_length must be nonnegative")
 
 
-class VocabularyCounter:
-    """Builds a vocabulary one token stream at a time: ids go to tokens in order
-    of first appearance, and each stream's distinct ids count toward their
-    document frequencies."""
-
-    def __init__(self):
-        self._ids = defaultdict(itertools.count().__next__)
-        self._df = Counter()
-        self._n_docs = 0
-
-    def add(self, stream: list) -> List[int]:
-        """Count ``stream`` and return it as a list of vocabulary ids."""
-        ids = list(map(self._ids.__getitem__, stream))
-        self._df.update(set(ids))
-        self._n_docs += 1
-        return ids
-
-    def vocabulary(self) -> Vocabulary:
-        if self._n_docs == 0:
-            raise ValueError("corpus must be non-empty")
-        df = list(map(self._df.__getitem__, range(len(self._ids))))
-        return Vocabulary(dict(self._ids), df, self._n_docs)
+def index_streams(streams: Iterable[list]) -> Tuple[List[List[int]], Vocabulary]:
+    """Each token stream as a list of vocabulary ids, and the vocabulary: ids go
+    to tokens in order of first appearance, and each list's distinct ids count
+    toward their document frequencies."""
+    ids = defaultdict(itertools.count().__next__)
+    id_lists = [list(map(ids.__getitem__, stream)) for stream in streams]
+    if not id_lists:
+        raise ValueError("corpus must be non-empty")
+    df = Counter(itertools.chain.from_iterable(map(set, id_lists)))
+    df = list(map(df.__getitem__, range(len(ids))))
+    return id_lists, Vocabulary(dict(ids), df, len(id_lists))
 
 
 def build_vocabulary(corpus: Iterable[list]) -> Vocabulary:
     """Scan token streams, assigning ids by first appearance and counting
     per-token document frequency (documents, not occurrences)."""
-    counter = VocabularyCounter()
-    for stream in corpus:
-        counter.add(stream)
-    return counter.vocabulary()
+    return index_streams(corpus)[1]
 
 
 def idf(vocab: Vocabulary, token_id: int) -> float:
@@ -152,10 +138,10 @@ def weigh(
     every training document) are dropped to keep entries strictly positive."""
     if mode not in WEIGHTING_MODES:
         raise ValueError(f"unknown weighting mode: {mode!r}")
-    counts = Counter(ids)
+    counts = dict.fromkeys(ids, 1) if mode == BINARY else Counter(ids)
     counts.pop(None, None)
     if mode == BINARY:
-        return dict.fromkeys(counts, 1)
+        return counts
     if mode == RAW_COUNT:
         return dict(counts)
     if mode == NORMALIZED_TF:

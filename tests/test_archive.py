@@ -599,6 +599,24 @@ def test_train_counts_as_fit_over_vectorize(
     assert _text_fields(trained) == _text_fields(expected)
 
 
+def test_train_stems_each_distinct_word_once(monkeypatch):
+    """12 tokens, two of them stop words, and 4 distinct words besides:
+    train's stemmer runs once per distinct word, not once per token."""
+    calls = []
+
+    def counting_stem(word):
+        calls.append(word)
+        return word.removesuffix("s")
+
+    monkeypatch.setattr("nbtext.pipeline.porter_stem", counting_stem)
+    texts = ["the cats ran", "the dogs ran", "cats and dogs", "the birds ran"]
+    config = PipelineConfig(stop_word_mode="dictionary", stemming=True)
+    stops = StopList(frozenset({"the", "and"}))
+    archive = train("multinomial", ["a", "b", "a", "b"], texts, 1.0, config, None, stops)
+    assert sorted(calls) == ["birds", "cats", "dogs", "ran"]
+    assert archive.vocab.id_to_token() == ["cat", "ran", "dog", "bird"]
+
+
 @pytest.mark.parametrize("variant", ["categorical", "multinomial"])
 def test_train_refuses_a_bad_alpha_before_it_counts(
     monkeypatch, data_dir, toy_shapes, variant
@@ -611,3 +629,13 @@ def test_train_refuses_a_bad_alpha_before_it_counts(
     labels, inputs = _training_data(variant, data_dir, toy_shapes)
     with pytest.raises(ValueError, match="alpha"):
         train(variant, labels, inputs, math.nan)
+
+
+def test_train_refuses_a_bad_alpha_before_it_reads_a_text(monkeypatch, data_dir):
+    def no_counting(*args):
+        raise AssertionError("train read the texts before it checked alpha")
+
+    monkeypatch.setattr("nbtext.archive.token_streams", no_counting)
+    labels, inputs = _training_data("multinomial", data_dir, None)
+    with pytest.raises(ValueError, match="alpha"):
+        train("multinomial", labels, inputs, math.nan)

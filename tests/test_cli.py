@@ -748,6 +748,15 @@ class TestPredict:
         ("multinomial", lambda doc: doc.update(
             stop_words={"origin": "dictionary", "words": {"the": 1}}),
          "stop_words words must be a list"),
+        # a tokens string that enumerate would read as one-character tokens, and
+        # stop list origins that are not strings
+        ("multinomial", lambda doc: doc["vocabulary"].update(tokens="".join(
+            chr(0x4E00 + i) for i in range(len(doc["vocabulary"]["tokens"])))),
+         "vocabulary tokens must be a list"),
+        ("multinomial", lambda doc: doc.update(
+            stop_words={"origin": ["x"], "words": ["the"]}), "origin must be a string"),
+        ("multinomial", lambda doc: doc.update(
+            stop_words={"origin": 7, "words": ["the"]}), "origin must be a string"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
             "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
@@ -769,7 +778,8 @@ class TestPredict:
             "class-sizes-scaled", "total_documents-scaled", "class_totals-401-digits",
             "tf_sums-key-signed", "tf_sums-key-underscore", "tf_sums-key-zero-padded",
             "tf_sums-key-suffix", "tf_sums-key-float", "mean-401-digits",
-            "vocab_size-plus-one", "stop-words-string", "stop-words-object"])
+            "vocab_size-plus-one", "stop-words-string", "stop-words-object",
+            "tokens-string", "origin-list", "origin-int"])
     def test_malformed_archive(
         self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
     ):

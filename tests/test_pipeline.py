@@ -75,6 +75,14 @@ class TestTokenize:
         wide = (" " * width).join(tokens)
         assert tokenize(wide, DEFAULTS) == tokenize(" ".join(tokens), DEFAULTS)
 
+    def test_no_code_point_without_upper_or_title_case_changes_in_lowercase(self):
+        # tokenize keeps a string that islower() as it is, without lower()
+        changed = [
+            hex(c) for c in range(sys.maxunicode + 1)
+            if not chr(c).isupper() and not chr(c).istitle() and chr(c).lower() != chr(c)
+        ]
+        assert changed == []
+
     def test_no_code_point_is_alphanumeric_punctuation(self):
         # tokenize returns a token whose first and last characters are
         # alphanumeric without looking for boundary punctuation
@@ -228,6 +236,19 @@ class TestNgrams:
     )
     def test_output_length(self, stream, n):
         assert len(ngrams(stream, n)) == max(0, len(stream) - n + 1)
+
+    def test_n_past_any_length_returns_at_once(self):
+        # zipping n slices of the stream would take n steps before the first
+        assert ngrams(["a", "b"], 10**400) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="xy z", min_size=1, max_size=3), max_size=7),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_matches_slice_and_join(self, stream, n):
+        expected = [" ".join(stream[i : i + n]) for i in range(len(stream) - n + 1)]
+        assert ngrams(stream, n) == expected
 
 
 class TestRunPipeline:

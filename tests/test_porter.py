@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbtext import porter
 from nbtext.porter import porter_stem
 from porter_oracle import oracle_stem
 
@@ -185,3 +186,14 @@ def test_cache_is_transparent(word):
 
 def test_cache_is_bounded():
     assert porter_stem.cache_info().maxsize == 65536
+
+
+def test_early_return_covers_every_suffix_a_rule_reads():
+    """A word that ends in none of _ANY_SUFFIX is returned as it came; that is
+    right only if every suffix that a step reads on the word ends in one."""
+    step1 = ("sses", "ies", "ss", "s", "eed", "ed", "ing", "y")
+    step5 = ("e", "ll")
+    tables = [suffix for rules in (porter._STEP2, porter._STEP3, porter._STEP4)
+              for suffix, _ in rules]
+    for suffix in (*step1, *tables, *step5):
+        assert suffix.endswith(porter._ANY_SUFFIX), suffix
