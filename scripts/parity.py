@@ -9,9 +9,11 @@ Run from anywhere inside the repository:
 The base revision's ``src/`` is exported with ``git archive`` into a temporary
 directory; the repository and its ``.git`` are left untouched. The working
 tree's ``src/`` is copied beside it. A fixed matrix of invocations then runs
-against each tree as ``python -m nbtext.cli`` subprocesses with
-``PYTHONHASHSEED=0``, each from its own run directory that holds the same
-inputs under the same relative paths: ``tests/data/sample_messages.tsv``,
+against each tree as ``python -m nbtext.cli`` subprocesses, the base's with
+``PYTHONHASHSEED=0`` and the working tree's with ``PYTHONHASHSEED=1``, so an
+answer that hangs on the order of a set or on string hashes differs (with
+``--base HEAD`` the tool checks exactly that), each from its own run directory
+that holds the same inputs under the same relative paths: ``tests/data/sample_messages.tsv``,
 600 SMS and 150 topics documents from ``perfbench/corpus.py``, the 20
 ``TEXT_EDGES`` documents, and small CSVs. The matrix trains, predicts
 (``--probs`` on an argument, and over stdin), inspects (``--top-k 3
@@ -183,6 +185,11 @@ def _respell(label: str, key: str, spelling: str) -> Callable[[bytes], bytes]:
     return _edit_json(change)
 
 
+def _repeat_first_token(doc: dict) -> None:
+    tokens = doc["vocabulary"]["tokens"]
+    tokens[1] = tokens[0]
+
+
 # name -> (source archive, edit); each edited archive is then given to predict
 MALFORMED = {
     "total-documents": ("sample-multinomial-stem-top5-tfidf-bigrams", _edit_json(
@@ -217,6 +224,7 @@ MALFORMED = {
         lambda doc: doc["stop_words"].update(origin=["x"]))),
     "origin-int": ("sample-multinomial-stem-top5-tfidf-bigrams", _edit_json(
         lambda doc: doc["stop_words"].update(origin=7))),
+    "tokens-repeated": ("sample-multinomial", _edit_json(_repeat_first_token)),
 }
 
 ERRORS = {
@@ -291,7 +299,7 @@ def _snapshot(run_dir: Path) -> Dict[str, bytes]:
     }
 
 
-def run_case(case: Case, src: Path, run_dir: Path) -> dict:
+def run_case(case: Case, src: Path, run_dir: Path, hash_seed: str) -> dict:
     """The case's stdout, stderr, exit code and the files it wrote or changed."""
     before = _snapshot(run_dir)
     if case.edit is not None:
@@ -303,7 +311,7 @@ def run_case(case: Case, src: Path, run_dir: Path) -> dict:
             # the source archive is missing, is not JSON or lacks the edited field
             out, err, code = b"", f"edit failed: {exc}\n".encode(), 1
     else:
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0",
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed,
                    PYTHONDONTWRITEBYTECODE="1")
         stdin = (run_dir / case.stdin).read_bytes() if case.stdin else b""
         done = subprocess.run([sys.executable, "-m", "nbtext.cli", *case.args],
@@ -367,15 +375,16 @@ def main(argv=None) -> int:
         export_base(args.base, tmp / "base")
         shutil.copytree(ROOT / "src", tmp / "change" / "src",
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-        trees = {side: (tmp / side / "src", tmp / side / "run")
-                 for side in ("base", "change")}
-        for _, run_dir in trees.values():
+        # each side's source, run directory and hash seed
+        trees = {side: (tmp / side / "src", tmp / side / "run", seed)
+                 for side, seed in (("base", "0"), ("change", "1"))}
+        for _, run_dir, _ in trees.values():
             write_inputs(run_dir)
             for sub in ("models", "reports"):
                 (run_dir / sub).mkdir()
         differ, unexpected = [], []
         for case in cases:
-            base, change = (run_case(case, src, run_dir) for src, run_dir in trees.values())
+            base, change = (run_case(case, *tree) for tree in trees.values())
             found = differences(base, change)
             if not found:
                 continue

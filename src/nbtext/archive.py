@@ -8,7 +8,7 @@ a round-tripped model classifies identically and reproduces log-scores.
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
@@ -28,6 +28,7 @@ from .models import (
 # tokenize, the per-text form of token_streams' first rules, stays bound here
 # for code that patches the text step of train
 from .pipeline import PipelineConfig, StopList, run_pipeline, token_streams, tokenize
+from .record import Record
 from .vectorize import (
     BINARY,
     NORMALIZED_TF,
@@ -60,20 +61,19 @@ def finite_float(cell) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Variant:
+class Variant(Record):
     """What one model family takes and how it fits. ``weightings`` lists the
     term weightings it accepts, default first; an empty list means it takes
     rows of cells, each parsed by ``cell``, instead of text. ``fit`` takes the
     rows, or the texts' id -> weight tables and the vocabulary size, then the
     labels, then ``alpha`` for ``smoothed`` variants; the others ignore it."""
 
-    name: str
-    model_class: type
-    fit: Callable[..., NaiveBayesModel]
-    weightings: Tuple[str, ...] = ()
-    smoothed: bool = False
-    cell: Optional[Callable[[Any], Any]] = None
+    __slots__ = _fields = ("name", "model_class", "fit", "weightings", "smoothed", "cell")
+
+    def __init__(self, name: str, model_class: type, fit: Callable[..., NaiveBayesModel],
+                 weightings: Tuple[str, ...] = (), smoothed: bool = False,
+                 cell: Optional[Callable[[Any], Any]] = None):
+        self._init(name, model_class, fit, weightings, smoothed, cell)
 
     @property
     def text(self) -> bool:
@@ -279,7 +279,7 @@ def save_archive(archive: ModelArchive, path: Union[str, Path]) -> None:
         "variant": archive.variant,
         "priors": _priors_payload(archive.model.priors),
         "parameters": _model_payload(archive.model),
-        "pipeline": asdict(archive.pipeline_config)
+        "pipeline": dict(zip(PipelineConfig._fields, archive.pipeline_config._values()))
         if archive.pipeline_config is not None
         else None,
         "weighting": archive.weighting,
@@ -333,10 +333,11 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
         vocab = None
         if doc.get("vocabulary"):
             v = doc["vocabulary"]
-            if type(v["tokens"]) is not list:  # enumerate would take a str's characters
+            tokens = v["tokens"]
+            if type(tokens) is not list:  # zip would take a str's characters
                 raise ValueError("vocabulary tokens must be a list")
             vocab = Vocabulary(
-                {tok: i for i, tok in enumerate(v["tokens"])},
+                dict(zip(tokens, range(len(tokens)))),
                 v["document_frequency"],
                 v["total_documents"],
             )

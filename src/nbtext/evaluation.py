@@ -7,12 +7,12 @@ and the head of that ordering becomes the test partition.
 """
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from .archive import ModelArchive
 from .models import classify
 from .pipeline import CorpusFormatError, LabeledCorpus, load_corpus, load_row_corpus
+from .record import Record
 
 __all__ = [
     "CorpusFormatError",
@@ -67,21 +67,21 @@ def split(
     )
 
 
-@dataclass(frozen=True)
-class LabelMetrics:
-    precision: float
-    recall: float
-    f1: float
-    support: int
+class LabelMetrics(Record):
+    __slots__ = _fields = ("precision", "recall", "f1", "support")
+
+    def __init__(self, precision: float, recall: float, f1: float, support: int):
+        self._init(precision, recall, f1, support)
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    accuracy: float
-    per_label: Dict[str, LabelMetrics]
-    confusion: Dict[str, Dict[str, int]]
-    n_test: int
-    zero_division_labels: frozenset = field(default_factory=frozenset)
+class EvaluationReport(Record):
+    __slots__ = _fields = ("accuracy", "per_label", "confusion", "n_test",
+                           "zero_division_labels")
+
+    def __init__(self, accuracy: float, per_label: Dict[str, LabelMetrics],
+                 confusion: Dict[str, Dict[str, int]], n_test: int,
+                 zero_division_labels: frozenset = frozenset()):
+        self._init(accuracy, per_label, confusion, n_test, zero_division_labels)
 
     def to_json_dict(self) -> dict:
         return {

@@ -16,6 +16,7 @@ from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_args
 )
 
+from .record import Record, _set
 from .vectorize import SparseVector, Vocabulary
 
 __all__ = [
@@ -243,6 +244,8 @@ class BernoulliModel:
     vocab_size: int
 
     def __post_init__(self):
+        # each row's distinct counts, found once for the range check and linear_form
+        self.__dict__["_distinct_counts"] = distinct = {}
         for label, row in self.doc_counts.items():
             docs = self.class_doc_counts.get(label)
             if type(docs) is not int or docs < 0:
@@ -251,7 +254,8 @@ class BernoulliModel:
                 raise ValueError("doc_counts rows must have vocab_size entries")
             if not set(map(type, row)) <= {int}:
                 raise ValueError(f"doc_counts[{label!r}] must hold ints")
-            if row and not 0 <= min(row) <= max(row) <= docs:
+            distinct[label] = counts = set(row)  # after the type check: 1.0 == 1
+            if counts and not 0 <= min(counts) <= max(counts) <= docs:
                 raise ValueError(f"doc_counts[{label!r}] must lie between 0 and {docs}")
         if self.priors.counts is not None and self.class_doc_counts != self.priors.counts:
             raise ValueError("class_doc_counts must be the class sizes the priors count")
@@ -272,9 +276,9 @@ class BernoulliModel:
         # count, and an id's delta is read through its count when it is scored
         out = {}
         for label in self.priors.labels:
-            df = self.doc_counts[label]
+            df, counts = self.doc_counts[label], self._distinct_counts[label]
             den = self.class_doc_counts[label] + 2
-            log_q = {n: math.log((den - n - 1) / den) for n in set(df)}
+            log_q = {n: math.log((den - n - 1) / den) for n in counts}
             delta = {n: math.log((n + 1) / den) - q for n, q in log_q.items()}
             out[label] = (math.fsum(map(log_q.get, df)), _by_count(delta, df), 0.0)
         return out
@@ -468,18 +472,21 @@ def gaussian_log_density(x: float, mu: float, sigma: float) -> float:
 NaiveBayesModel = Union[CategoricalModel, BernoulliModel, MultinomialModel, GaussianModel]
 
 
-@dataclass(frozen=True)
-class PosteriorReport:
+class PosteriorReport(Record):
     """Per-class log-scores and normalized posteriors for one input.
 
     degenerate_evidence is set when every class scored -inf; posteriors
     are then reported uniform and the prediction falls back to the prior.
     """
 
-    log_scores: Dict[str, float]
-    posteriors: Dict[str, float]
-    predicted: str
-    degenerate_evidence: bool = False
+    __slots__ = _fields = ("log_scores", "posteriors", "predicted", "degenerate_evidence")
+
+    def __init__(self, log_scores: Dict[str, float], posteriors: Dict[str, float],
+                 predicted: str, degenerate_evidence: bool = False):
+        _set(self, "log_scores", log_scores)  # field by field, faster than _init
+        _set(self, "posteriors", posteriors)
+        _set(self, "predicted", predicted)
+        _set(self, "degenerate_evidence", degenerate_evidence)
 
 
 def log_likelihood(model: NaiveBayesModel, x, label: str) -> float:

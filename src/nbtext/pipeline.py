@@ -6,16 +6,15 @@ stemming -> n-gram expansion. Every function is pure; configs and stop
 lists are immutable once built.
 """
 
-import heapq
 import io
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .porter import porter_stem
+from .record import Record
 
 __all__ = [
     "PipelineConfig",
@@ -40,16 +39,15 @@ __all__ = [
 STOP_WORD_MODES = ("none", "dictionary", "frequency")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    lowercase: bool = True
-    strip_punctuation: bool = True
-    stop_word_mode: str = "none"
-    frequency_top_n: Optional[int] = None
-    stemming: bool = False
-    ngram_size: int = 1
+class PipelineConfig(Record):
+    __slots__ = _fields = ("lowercase", "strip_punctuation", "stop_word_mode",
+                           "frequency_top_n", "stemming", "ngram_size")
 
-    def __post_init__(self):
+    def __init__(self, lowercase: bool = True, strip_punctuation: bool = True,
+                 stop_word_mode: str = "none", frequency_top_n: Optional[int] = None,
+                 stemming: bool = False, ngram_size: int = 1):
+        self._init(lowercase, strip_punctuation, stop_word_mode, frequency_top_n, stemming,
+                   ngram_size)
         for name in ("lowercase", "strip_punctuation", "stemming"):
             if type(getattr(self, name)) is not bool:
                 raise ValueError(f"{name} must be true or false")
@@ -66,15 +64,14 @@ class PipelineConfig:
             raise ValueError("ngram_size must be >= 1")
 
 
-@dataclass(frozen=True)
-class StopList:
-    words: frozenset = field(default_factory=frozenset)
-    origin: str = "dictionary"
+class StopList(Record):
+    __slots__ = _fields = ("words", "origin")
 
-    def __post_init__(self):
-        if not all(type(w) is str and w for w in self.words):
+    def __init__(self, words: frozenset = frozenset(), origin: str = "dictionary"):
+        self._init(words, origin)
+        if not all(type(w) is str and w for w in words):
             raise ValueError("stop words must be non-empty strings")
-        if type(self.origin) is not str:
+        if type(origin) is not str:
             raise ValueError("stop list origin must be a string")
 
 
@@ -112,6 +109,7 @@ def _frequency_stop_list(counts: dict, n: int) -> StopList:
     """The ``n`` tokens of ``counts`` (token -> occurrences) that occur most,
     ties at the cutoff broken lexicographically. Only tokens that occur at
     least as often as the n-th largest count are ranked."""
+    import heapq  # here, so that predict, which builds no stop list, never loads it
     least = min(heapq.nlargest(n, counts.values()), default=0)
     top = heapq.nsmallest(n, [(-c, tok) for tok, c in counts.items() if c >= least])
     return StopList(frozenset(tok for _, tok in top), origin=f"frequency({n})")
@@ -177,14 +175,14 @@ class CorpusFormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class LabeledCorpus:
+class LabeledCorpus(Record):
     """(label, input) pairs; an input is a text or a row of cells."""
 
-    documents: Tuple[Tuple[str, Any], ...]
+    __slots__ = _fields = ("documents",)
 
-    def __post_init__(self):
-        if not self.documents:
+    def __init__(self, documents: Tuple[Tuple[str, Any], ...]):
+        self._init(documents)
+        if not documents:
             raise ValueError("corpus must contain at least one document")
 
     @property

@@ -8,13 +8,15 @@ toward its doc_length, so normalized tf uses the true document length.
 that ``build_vocabulary`` and ``vectorize`` share with ``archive.train``.
 """
 
-import itertools
 import math
 import operator
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, _count_elements, defaultdict, deque
+from contextlib import suppress
 from functools import cached_property
+from itertools import chain, count, repeat
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from .record import Record, _set
 
 __all__ = [
     "BINARY",
@@ -39,29 +41,35 @@ TFIDF = "tfidf"
 WEIGHTING_MODES = (BINARY, RAW_COUNT, NORMALIZED_TF, TFIDF)
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Record):
     """Token/id bijection with per-token document frequencies.
 
     Ids are dense, 0-based, assigned in order of first appearance while
     scanning the training corpus document by document.
     """
 
-    token_to_id: Dict[str, int]
-    document_frequency: List[int]
-    total_documents: int
+    _fields = ("token_to_id", "document_frequency", "total_documents")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached idf_table
 
-    def __post_init__(self):
-        n, df, total = len(self.token_to_id), self.document_frequency, self.total_documents
+    def __init__(self, token_to_id: Dict[str, int], document_frequency: List[int],
+                 total_documents: int):
+        self._init(token_to_id, document_frequency, total_documents)
+        n, df, total = len(token_to_id), document_frequency, total_documents
         if len(df) != n:
             raise ValueError("document_frequency length must equal vocabulary size")
-        if not all(map(operator.eq, sorted(self.token_to_id.values()), range(n))):
+        # the n ids are 0..n-1 each once when they mark all n bytes of seen; an id
+        # past n - 1 or not an int stops the marking, and a negative one wraps
+        ids, seen = token_to_id.values(), bytearray(n)
+        with suppress(IndexError, TypeError):
+            deque(map(operator.setitem, repeat(seen), ids, repeat(1)), 0)
+        if 0 in seen or min(ids, default=0) < 0:
             raise ValueError(f"token ids must be 0..{n - 1}, each once")
-        if not set(map(type, self.token_to_id)) <= {str}:
+        if not set(map(type, token_to_id)) <= {str}:
             raise ValueError("vocabulary tokens must be strings")
         if type(total) is not int or not set(map(type, df)) <= {int}:
             raise ValueError("document frequencies and total_documents must be ints")
-        if df and not 1 <= min(df) <= max(df) <= total:
+        counts = set(df)  # after the type check, which tells 1 from 1.0 and True
+        if counts and not 1 <= min(counts) <= max(counts) <= total:
             raise ValueError(f"document frequencies must lie between 1 and {total}")
 
     def __len__(self):
@@ -84,21 +92,21 @@ class Vocabulary:
         return out
 
 
-@dataclass(frozen=True)
-class SparseVector:
+class SparseVector(Record):
     """One vectorized document: id -> weight, zeros absent.
 
     doc_length is the total token count of the source stream, including
     out-of-vocabulary tokens that were dropped from entries.
     """
 
-    entries: Dict[int, float]
-    doc_length: int
+    __slots__ = _fields = ("entries", "doc_length")
 
-    def __post_init__(self):
-        if not all(0 < v < math.inf for v in self.entries.values()):
+    def __init__(self, entries: Dict[int, float], doc_length: int):
+        _set(self, "entries", entries)  # field by field, faster than _init
+        _set(self, "doc_length", doc_length)
+        if not all(0 < v < math.inf for v in entries.values()):
             raise ValueError("sparse vector entries must be finite and strictly positive")
-        if self.doc_length < 0:
+        if doc_length < 0:
             raise ValueError("doc_length must be nonnegative")
 
 
@@ -106,11 +114,11 @@ def index_streams(streams: Iterable[list]) -> Tuple[List[List[int]], Vocabulary]
     """Each token stream as a list of vocabulary ids, and the vocabulary: ids go
     to tokens in order of first appearance, and each list's distinct ids count
     toward their document frequencies."""
-    ids = defaultdict(itertools.count().__next__)
+    ids = defaultdict(count().__next__)
     id_lists = [list(map(ids.__getitem__, stream)) for stream in streams]
     if not id_lists:
         raise ValueError("corpus must be non-empty")
-    df = Counter(itertools.chain.from_iterable(map(set, id_lists)))
+    df = Counter(chain.from_iterable(map(set, id_lists)))
     df = list(map(df.__getitem__, range(len(ids))))
     return id_lists, Vocabulary(dict(ids), df, len(id_lists))
 
@@ -138,12 +146,14 @@ def weigh(
     every training document) are dropped to keep entries strictly positive."""
     if mode not in WEIGHTING_MODES:
         raise ValueError(f"unknown weighting mode: {mode!r}")
-    counts = dict.fromkeys(ids, 1) if mode == BINARY else Counter(ids)
-    counts.pop(None, None)
     if mode == BINARY:
+        counts = dict.fromkeys(ids, 1)
+    else:  # Counter's own C counting loop, into a plain dict
+        counts = {}
+        _count_elements(counts, ids)
+    counts.pop(None, None)
+    if mode in (BINARY, RAW_COUNT):
         return counts
-    if mode == RAW_COUNT:
-        return dict(counts)
     if mode == NORMALIZED_TF:
         return {i: tf / n_d for i, tf in counts.items()}
     idf_of = vocab.idf_table

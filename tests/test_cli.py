@@ -757,6 +757,10 @@ class TestPredict:
             stop_words={"origin": ["x"], "words": ["the"]}), "origin must be a string"),
         ("multinomial", lambda doc: doc.update(
             stop_words={"origin": 7, "words": ["the"]}), "origin must be a string"),
+        # a second token that repeats the first leaves one id fewer than counts
+        ("multinomial", lambda doc: doc["vocabulary"]["tokens"].__setitem__(
+            1, doc["vocabulary"]["tokens"][0]),
+         "error: document_frequency length must equal vocabulary size\n"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
             "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
@@ -779,7 +783,7 @@ class TestPredict:
             "tf_sums-key-signed", "tf_sums-key-underscore", "tf_sums-key-zero-padded",
             "tf_sums-key-suffix", "tf_sums-key-float", "mean-401-digits",
             "vocab_size-plus-one", "stop-words-string", "stop-words-object",
-            "tokens-string", "origin-list", "origin-int"])
+            "tokens-string", "origin-list", "origin-int", "tokens-repeated"])
     def test_malformed_archive(
         self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
     ):

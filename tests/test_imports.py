@@ -19,8 +19,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 NOT_RUN = ("nbtext.evaluation", "hashlib", "_hashlib", "string")
 
 # runs the CLI in a fresh interpreter and prints, as its last line, which of
-# NOT_RUN the command added to sys.modules; modules that site hooks load
-# before nbtext is imported do not count
+# the watched modules (NOT_RUN unless a test names others) the command added to
+# sys.modules; modules that site hooks load before nbtext is imported do not count
 PROBE = """
 import json, sys
 before = set(sys.modules)
@@ -31,11 +31,11 @@ print(json.dumps([code, sorted(added & set(json.loads(sys.argv[1])))]))
 """
 
 
-def _added_modules(*argv, stdin=""):
+def _added_modules(*argv, stdin="", watched=NOT_RUN):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     res = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(NOT_RUN), *argv],
+        [sys.executable, "-c", PROBE, json.dumps(watched), *argv],
         input=stdin, capture_output=True, text=True, env=env, timeout=60,
     )
     code, added = json.loads(res.stdout.splitlines()[-1])
@@ -68,6 +68,17 @@ def test_train_loads_no_evaluation_module(tmp_path, corpus, variant, flags):
 def test_predict_loads_no_evaluation_module(model):
     assert _added_modules("predict", "--model", model, "--probs", "free prize") == []
     assert _added_modules("predict", "--model", model, stdin="free prize\nhi mum\n") == []
+
+
+def test_predict_loads_no_heapq(model):
+    # only a frequency stop list, built by train and evaluate, ranks with heapq
+    assert _added_modules("predict", "--model", model, "free prize", watched=["heapq"]) == []
+
+
+def test_train_with_a_frequency_stop_list_loads_heapq(tmp_path, corpus):
+    argv = ["train", "--input", corpus, "--model", str(tmp_path / "model.json"),
+            "--variant", "multinomial", "--stop-words", "top:5"]
+    assert _added_modules(*argv, watched=["heapq"]) == ["heapq"]
 
 
 def test_evaluate_loads_the_evaluation_module(corpus):

@@ -14,10 +14,12 @@ from nbtext.vectorize import (
     TFIDF,
     SparseVector,
     Vocabulary,
+    WEIGHTING_MODES,
     build_vocabulary,
     dump_vocabulary,
     idf,
     vectorize,
+    weigh,
 )
 from oracles import vectorize_oracle, vocabulary_oracle
 
@@ -81,6 +83,56 @@ class TestBuildVocabulary:
         assert all(
             1 <= df <= vocab.total_documents for df in vocab.document_frequency
         )
+
+
+class TestVocabularyIds:
+    def test_permuted_ids_are_accepted(self):
+        vocab = Vocabulary({"b": 1, "a": 0}, [1, 1], 1)
+        assert vocab.id_to_token() == ["a", "b"]
+
+    @pytest.mark.parametrize("token_to_id", [
+        {"a": 0, "b": 2}, {"a": 1, "b": 2}, {"a": 1, "b": 1}, {"a": 0, "b": 0},
+        {"a": -1, "b": 0}, {"a": -2, "b": 1}, {"a": 0, "b": 10**400},
+    ], ids=["gap", "shifted", "repeat", "repeat-zero", "negative", "negative-wraps",
+            "past-any-index"])
+    def test_a_gap_or_a_repeat_is_refused(self, token_to_id):
+        with pytest.raises(ValueError, match=r"^token ids must be 0\.\.1, each once$"):
+            Vocabulary(token_to_id, [1, 1], 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-4, 6), max_size=6))
+    def test_ids_are_accepted_exactly_when_they_are_0_to_n_minus_1(self, ids):
+        token_to_id = {f"t{k}": i for k, i in enumerate(ids)}
+        if sorted(ids) == list(range(len(ids))):
+            assert Vocabulary(token_to_id, [1] * len(ids), 1).token_to_id == token_to_id
+        else:
+            with pytest.raises(ValueError, match="each once"):
+                Vocabulary(token_to_id, [1] * len(ids), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.integers(0, 5)), max_size=20),
+       st.lists(st.integers(1, 3), min_size=6, max_size=6))
+def test_weigh_matches_a_counter_reference(ids, df):
+    """Every mode's entries, their order, weights and weight types are what
+    counting with a Counter gives; None stands for an out-of-vocabulary token."""
+    vocab = Vocabulary({tok: i for i, tok in enumerate("abcdef")}, df, 3)
+    n_d = len(ids)
+    counts = Counter(ids)
+    counts.pop(None, None)
+    expected = {
+        BINARY: dict.fromkeys(counts, 1),
+        RAW_COUNT: dict(counts),
+        NORMALIZED_TF: {i: tf / n_d for i, tf in counts.items()},
+        TFIDF: {i: w for i, tf in counts.items()
+                if (w := tf / n_d * math.log(3 / df[i])) > 0},
+    }
+    for mode in WEIGHTING_MODES:
+        entries = weigh(iter(ids), n_d, vocab, mode)
+        assert type(entries) is dict, mode
+        assert [(i, w, type(w)) for i, w in entries.items()] == [
+            (i, w, type(w)) for i, w in expected[mode].items()
+        ], mode
 
 
 class TestVectorize:
