@@ -25,9 +25,7 @@ from .models import (
     fit_gaussian,
     multinomial_from_entries,
 )
-# tokenize, the per-text form of token_streams' first rules, stays bound here
-# for code that patches the text step of train
-from .pipeline import PipelineConfig, StopList, run_pipeline, token_streams, tokenize
+from .pipeline import PipelineConfig, StopList, run_pipeline, token_streams
 from .record import Record
 from .vectorize import (
     BINARY,

@@ -32,7 +32,6 @@ __all__ = [
     "remove_stop_words",
     "ngrams",
     "run_pipeline",
-    "run_stages",
     "token_streams",
 ]
 
@@ -102,7 +101,7 @@ def _clean(pieces: list, config: PipelineConfig) -> list:
 def tokenize(text: str, config: PipelineConfig) -> list:
     """Split ``text`` on whitespace, optionally trimming boundary punctuation
     and lowercasing. Tokens emptied by punctuation stripping are dropped."""
-    return list(filter(None, _clean(text.split(), config)))
+    return _stream(_clean(text.split(), config), 1)
 
 
 def _frequency_stop_list(counts: dict, n: int) -> StopList:
@@ -266,26 +265,21 @@ def _stage(tokens: list, config: PipelineConfig, stops: Optional[StopList]) -> l
     return tokens
 
 
+def _stream(tokens: Iterable[str], n: int) -> list:
+    """The non-empty ``tokens`` in order, as n-grams when ``n`` > 1: every
+    stream is finished here."""
+    stream = list(filter(None, tokens))
+    return ngrams(stream, n) if n > 1 else stream
+
+
 def run_pipeline(
     text: str, config: PipelineConfig, stops: Optional[StopList] = None
 ) -> list:
-    """Apply tokenize, stop-word removal, stemming and n-gram expansion."""
-    return run_stages(tokenize(text, config), config, stops)
-
-
-def run_stages(
-    stream: list, config: PipelineConfig, stops: Optional[StopList] = None
-) -> list:
-    """Apply stop-word removal, stemming and n-gram expansion to the tokens
-    of one text.
-
+    """Apply tokenize, stop-word removal, stemming and n-gram expansion.
     ``stops`` is required when the config enables stop-word removal. Stems
-    that come back empty (bare "s") are dropped to keep streams well-formed.
-    """
-    tokens = _stage(stream, config, stops)
-    if tokens is not stream:  # a stage ran, so tokens may have been dropped
-        stream = list(filter(None, tokens))
-    return ngrams(stream, config.ngram_size) if config.ngram_size > 1 else stream
+    that come back empty (bare "s") are dropped to keep streams well-formed."""
+    tokens = _stage(_clean(text.split(), config), config, stops)
+    return _stream(tokens, config.ngram_size)
 
 
 def token_streams(
@@ -308,8 +302,5 @@ def token_streams(
     # each piece's token takes the place of its count
     dict.update(table, zip(pieces, _stage(tokens, config, stops)))
     n = config.ngram_size
-    streams = (
-        ngrams(list(filter(None, map(table.__getitem__, text.split()))), n)
-        for text in texts
-    )
+    streams = (_stream(map(table.__getitem__, text.split()), n) for text in texts)
     return streams, stops

@@ -15,6 +15,7 @@ from nbtext.archive import (
     VARIANTS,
     ArchiveError,
     ModelArchive,
+    Variant,
     load_archive,
     save_archive,
     train,
@@ -466,18 +467,22 @@ def test_frequency_train_matches_the_two_pass_reference(
     mode=st.sampled_from(["none", "dictionary", "frequency"]),
     words=st.frozensets(st.sampled_from(["a", "b", "ab", "s", "é", "ß", "日"]), max_size=4),
     stemming=st.booleans(),
-    ngram_size=st.sampled_from([1, 2]),
+    ngram_size=st.sampled_from([1, 2, 3]),
+    lowercase=st.booleans(),
+    strip_punctuation=st.booleans(),
     variant_weighting=st.sampled_from(
         [(v, w) for v in ("multinomial", "bernoulli") for w in VARIANTS[v].weightings]
     ),
 )
 def test_train_matches_the_per_text_reference(
-    texts, mode, words, stemming, ngram_size, variant_weighting
+    texts, mode, words, stemming, ngram_size, lowercase, strip_punctuation, variant_weighting
 ):
     """With the stop list given (or none needed), train encodes each text as
-    run_pipeline does on its own."""
+    run_pipeline does on its own, whatever each config field is."""
     variant, weighting = variant_weighting
     config = PipelineConfig(
+        lowercase=lowercase,
+        strip_punctuation=strip_punctuation,
         stop_word_mode=mode,
         frequency_top_n=2 if mode == "frequency" else None,
         stemming=stemming,
@@ -624,8 +629,13 @@ def test_train_refuses_a_bad_alpha_before_it_counts(
     def no_counting(*args):
         raise AssertionError("train counted before it checked alpha")
 
-    monkeypatch.setattr("nbtext.archive.tokenize", no_counting)
-    monkeypatch.setattr("nbtext.archive.fit_categorical", no_counting)
+    # what train runs after its alpha check: the text step, and the
+    # categorical row's cell parser and fit
+    monkeypatch.setattr("nbtext.archive.token_streams", no_counting)
+    spec = VARIANTS["categorical"]
+    monkeypatch.setitem(VARIANTS, "categorical", Variant(
+        spec.name, spec.model_class, no_counting, spec.weightings, spec.smoothed, no_counting
+    ))
     labels, inputs = _training_data(variant, data_dir, toy_shapes)
     with pytest.raises(ValueError, match="alpha"):
         train(variant, labels, inputs, math.nan)

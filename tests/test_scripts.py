@@ -1,6 +1,8 @@
 """The scripts run against the bundled sample corpus."""
 
+import ast
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -126,3 +128,21 @@ def test_traced_evaluate_records_the_split(tmp_path):
     with open(tmp_path / "spans.bin", "rb") as fh:
         names.fromfile(fh, header["n_spans"])
     assert names.count(header["names"].index("evaluation.split")) >= 1
+
+
+def test_every_traced_name_is_a_function():
+    """perfbench/tracer.py rebinds each name in its TRACED table; its source is
+    read, not imported, so that nothing under perfbench/ runs or is written."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    traced, = (
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+    )
+    assert traced
+    for layer, names in traced.items():
+        module = importlib.import_module(f"nbtext.{layer}")
+        for name in names:
+            # porter_stem is a function under functools.lru_cache
+            traced_fn = inspect.unwrap(getattr(module, name, None))
+            assert inspect.isfunction(traced_fn), f"nbtext.{layer}.{name}"
