@@ -225,6 +225,10 @@ MALFORMED = {
     "origin-int": ("sample-multinomial-stem-top5-tfidf-bigrams", _edit_json(
         lambda doc: doc["stop_words"].update(origin=7))),
     "tokens-repeated": ("sample-multinomial", _edit_json(_repeat_first_token)),
+    "pipeline-key-missing": ("sample-multinomial-stem-top5-tfidf-bigrams", _edit_json(
+        lambda doc: [doc["pipeline"].pop(key) for key in ("stemming", "stop_word_mode")])),
+    "pipeline-key-unknown": ("sample-multinomial", _edit_json(
+        lambda doc: doc["pipeline"].update(colour="red"))),
 }
 
 ERRORS = {

@@ -7,10 +7,10 @@ query (blue, square), and the unnormalized posteriors, then shows how
 forcing uniform priors flips the decision.
 """
 
-import dataclasses
 import math
 
 from nbtext.models import (
+    CategoricalModel,
     ClassPriors,
     fit_categorical,
     log_likelihood,
@@ -44,8 +44,9 @@ def main() -> None:
     report = posterior_scores(model, QUERY)
     print(f"decision: {report.predicted}")
 
-    flat = dataclasses.replace(
-        model, priors=ClassPriors.from_probabilities({"+": 0.5, "-": 0.5})
+    flat = CategoricalModel(
+        ClassPriors.from_probabilities({"+": 0.5, "-": 0.5}),
+        model.value_counts, model.class_counts, model.alpha,
     )
     print(f"decision under uniform priors: {posterior_scores(flat, QUERY).predicted}")
 

@@ -8,9 +8,8 @@ a round-tripped model classifies identically and reproduces log-scores.
 import json
 import math
 import operator
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from .models import (
     BernoulliModel,
@@ -67,11 +66,7 @@ class Variant(Record):
     labels, then ``alpha`` for ``smoothed`` variants; the others ignore it."""
 
     __slots__ = _fields = ("name", "model_class", "fit", "weightings", "smoothed", "cell")
-
-    def __init__(self, name: str, model_class: type, fit: Callable[..., NaiveBayesModel],
-                 weightings: Tuple[str, ...] = (), smoothed: bool = False,
-                 cell: Optional[Callable[[Any], Any]] = None):
-        self._init(name, model_class, fit, weightings, smoothed, cell)
+    _defaults = {"weightings": (), "smoothed": False, "cell": None}
 
     @property
     def text(self) -> bool:
@@ -110,21 +105,16 @@ class ArchiveError(Exception):
     """Archive could not be written or parsed."""
 
 
-@dataclass(frozen=True)
-class ModelArchive:
+class ModelArchive(Record):
     """A trained model plus everything needed to classify new input:
     pipeline config, stop list, vocabulary, and weighting mode (text
     variants only; row variants carry none of these). The variant must take
     the weighting, and the vocabulary must count the priors' documents."""
 
-    variant: str
-    model: NaiveBayesModel
-    pipeline_config: Optional[PipelineConfig] = None
-    vocab: Optional[Vocabulary] = None
-    weighting: Optional[str] = None
-    stops: Optional[StopList] = None
+    __slots__ = _fields = ("variant", "model", "pipeline_config", "vocab", "weighting", "stops")
+    _defaults = {"pipeline_config": None, "vocab": None, "weighting": None, "stops": None}
 
-    def __post_init__(self):
+    def _check(self):
         spec = _variant_spec(self.variant)
         if not isinstance(self.model, spec.model_class):
             raise ValueError(
@@ -204,23 +194,23 @@ def _decode_tf_sums(tf_sums: dict) -> dict:
     return out
 
 
-# parameter fields whose JSON form differs from the dataclass value
+# parameter fields whose JSON form differs from the model's value
 _FIELD_DECODERS = {"tf_sums": _decode_tf_sums, "value_counts": tuple}
 
 
 def _model_payload(model: NaiveBayesModel) -> dict:
-    # every dataclass field after priors; json.dumps writes the int keys of
+    # every model field after priors; json.dumps writes the int keys of
     # tf_sums as strings and the value_counts tuple as a list
-    return {f.name: getattr(model, f.name) for f in fields(model)[1:]}
+    return {name: getattr(model, name) for name in model._fields[1:]}
 
 
 def _model_from_payload(
     model_class: type, payload: dict, priors: ClassPriors
 ) -> NaiveBayesModel:
     params = {}
-    for f in fields(model_class)[1:]:
-        decode = _FIELD_DECODERS.get(f.name)
-        params[f.name] = decode(payload[f.name]) if decode else payload[f.name]
+    for name in model_class._fields[1:]:
+        decode = _FIELD_DECODERS.get(name)
+        params[name] = decode(payload[name]) if decode else payload[name]
     # every dict parameter, and each value_counts position, is keyed by label
     labels = set(priors.labels)
     for name, value in params.items():
@@ -319,9 +309,13 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
         spec = _variant_spec(variant)
         priors = _priors_from_payload(doc["priors"])
         model = _model_from_payload(spec.model_class, doc["parameters"], priors)
-        pipeline_config = (
-            PipelineConfig(**doc["pipeline"]) if doc.get("pipeline") else None
-        )
+        pipeline_config = None
+        if doc.get("pipeline"):
+            pipeline = doc["pipeline"]
+            pipeline_config = PipelineConfig(**pipeline)  # TypeError for an unknown key
+            missing = set(PipelineConfig._fields).difference(pipeline)
+            if missing:  # save_archive writes every field; none may fall to its default
+                raise KeyError(min(missing))
         stops = None
         if doc.get("stop_words"):
             words = doc["stop_words"]["words"]

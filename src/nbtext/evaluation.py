@@ -7,7 +7,7 @@ and the head of that ordering becomes the test partition.
 """
 
 import hashlib
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from .archive import ModelArchive
 from .models import classify
@@ -70,18 +70,11 @@ def split(
 class LabelMetrics(Record):
     __slots__ = _fields = ("precision", "recall", "f1", "support")
 
-    def __init__(self, precision: float, recall: float, f1: float, support: int):
-        self._init(precision, recall, f1, support)
-
 
 class EvaluationReport(Record):
     __slots__ = _fields = ("accuracy", "per_label", "confusion", "n_test",
                            "zero_division_labels")
-
-    def __init__(self, accuracy: float, per_label: Dict[str, LabelMetrics],
-                 confusion: Dict[str, Dict[str, int]], n_test: int,
-                 zero_division_labels: frozenset = frozenset()):
-        self._init(accuracy, per_label, confusion, n_test, zero_division_labels)
+    _defaults = {"zero_division_labels": frozenset()}
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,11 +10,8 @@ conditionals mapping to -inf rather than raising.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_args
-)
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .record import Record, _set
 from .vectorize import SparseVector, Vocabulary
@@ -68,16 +65,15 @@ def check_alpha(alpha, totals=(), size: int = 0) -> None:
         raise ValueError(f"alpha {alpha!r} is too large: a smoothed denominator overflows")
 
 
-@dataclass(frozen=True)
-class ClassPriors:
+class ClassPriors(Record):
     """Per-class prior probabilities, with sample counts kept alongside
     when the priors were estimated from data."""
 
-    probabilities: Dict[str, float]
-    counts: Optional[Dict[str, int]] = None
-    total: Optional[int] = None
+    _fields = ("probabilities", "counts", "total")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached log_probabilities
+    _defaults = {"counts": None, "total": None}
 
-    def __post_init__(self):
+    def _check(self):
         if not self.probabilities:
             raise ValueError("at least one class is required")
         for label, p in self.probabilities.items():
@@ -128,8 +124,7 @@ def _row_width(rows: Sequence[Sequence], labels: Sequence[str]) -> int:
     return width
 
 
-@dataclass(frozen=True)
-class CategoricalModel:
+class CategoricalModel(Record):
     """Per-position value-count tables with additive smoothing.
 
     value_counts[i][class][value] is the number of class samples showing
@@ -139,12 +134,10 @@ class CategoricalModel:
     distinct values at position i, counting the queried value if unseen.
     """
 
-    priors: ClassPriors
-    value_counts: Tuple[Dict[str, Dict[str, int]], ...]
-    class_counts: Dict[str, int]
-    alpha: float
+    _fields = ("priors", "value_counts", "class_counts", "alpha")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached domains
 
-    def __post_init__(self):
+    def _check(self):
         for label, n in self.class_counts.items():
             if type(n) is not int or n < 0:
                 raise ValueError(f"class_counts[{label!r}] must be an int >= 0")
@@ -229,8 +222,7 @@ def _by_count(table: Dict[int, float], counts: List[int]) -> Callable[[int, floa
     return lambda i, default: table[counts[i]] if 0 <= i < n else default
 
 
-@dataclass(frozen=True)
-class BernoulliModel:
+class BernoulliModel(Record):
     """Presence/absence model: P(token | class) = (df + 1) / (class_docs + 2).
 
     doc_counts[class][i] is the number of class documents containing token
@@ -238,12 +230,10 @@ class BernoulliModel:
     The +1/+2 correction keeps every estimate strictly inside (0, 1).
     """
 
-    priors: ClassPriors
-    doc_counts: Dict[str, List[int]]
-    class_doc_counts: Dict[str, int]
-    vocab_size: int
+    _fields = ("priors", "doc_counts", "class_doc_counts", "vocab_size")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds _distinct_counts and linear_form
 
-    def __post_init__(self):
+    def _check(self):
         # each row's distinct counts, found once for the range check and linear_form
         self.__dict__["_distinct_counts"] = distinct = {}
         for label, row in self.doc_counts.items():
@@ -309,8 +299,7 @@ def fit_bernoulli(
     return bernoulli_from_entries((v.entries for v in binary_vectors), labels, len(vocab))
 
 
-@dataclass(frozen=True)
-class MultinomialModel:
+class MultinomialModel(Record):
     """Token-count model with additive smoothing over the vocabulary.
 
     tf_sums[class][i] is the summed term weight of token id i across class
@@ -318,13 +307,10 @@ class MultinomialModel:
     class_totals[class] is the sum of all stored weights for the class.
     """
 
-    priors: ClassPriors
-    tf_sums: Dict[str, Dict[int, float]]
-    class_totals: Dict[str, float]
-    vocab_size: int
-    alpha: float
+    _fields = ("priors", "tf_sums", "class_totals", "vocab_size", "alpha")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached linear_form
 
-    def __post_init__(self):
+    def _check(self):
         if type(self.vocab_size) is not int or self.vocab_size < 0:
             raise ValueError("vocab_size must be an int >= 0")
         for label, sums in self.tf_sums.items():
@@ -407,16 +393,12 @@ def fit_multinomial(
     return multinomial_from_entries(tables, labels, len(vocab), alpha)
 
 
-@dataclass(frozen=True)
-class GaussianModel:
+class GaussianModel(Record):
     """Per-class, per-feature normal densities (population sigma)."""
 
-    priors: ClassPriors
-    means: Dict[str, List[float]]
-    stds: Dict[str, List[float]]
-    n_features: int
+    __slots__ = _fields = ("priors", "means", "stds", "n_features")
 
-    def __post_init__(self):
+    def _check(self):
         if type(self.n_features) is not int:
             raise ValueError("n_features must be an int")
         rows = [*self.means.values(), *self.stds.values()]
@@ -469,7 +451,7 @@ def gaussian_log_density(x: float, mu: float, sigma: float) -> float:
     return -0.5 * z * z - math.log(sigma * math.sqrt(2.0 * math.pi))
 
 
-NaiveBayesModel = Union[CategoricalModel, BernoulliModel, MultinomialModel, GaussianModel]
+NaiveBayesModel = CategoricalModel | BernoulliModel | MultinomialModel | GaussianModel
 
 
 class PosteriorReport(Record):
@@ -483,7 +465,7 @@ class PosteriorReport(Record):
 
     def __init__(self, log_scores: Dict[str, float], posteriors: Dict[str, float],
                  predicted: str, degenerate_evidence: bool = False):
-        _set(self, "log_scores", log_scores)  # field by field, faster than _init
+        _set(self, "log_scores", log_scores)  # field by field, faster than Record's
         _set(self, "posteriors", posteriors)
         _set(self, "predicted", predicted)
         _set(self, "degenerate_evidence", degenerate_evidence)
@@ -491,7 +473,7 @@ class PosteriorReport(Record):
 
 def log_likelihood(model: NaiveBayesModel, x, label: str) -> float:
     """Log P(x | label) under the model's variant; -inf on zero conditionals."""
-    if not isinstance(model, get_args(NaiveBayesModel)):
+    if not isinstance(model, NaiveBayesModel):
         raise TypeError(f"unknown model type: {type(model).__name__}")
     return model.log_likelihood(x, label)
 

@@ -11,7 +11,7 @@ import unicodedata
 from collections import Counter, defaultdict
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .porter import porter_stem
 from .record import Record
@@ -41,12 +41,10 @@ STOP_WORD_MODES = ("none", "dictionary", "frequency")
 class PipelineConfig(Record):
     __slots__ = _fields = ("lowercase", "strip_punctuation", "stop_word_mode",
                            "frequency_top_n", "stemming", "ngram_size")
+    _defaults = {"lowercase": True, "strip_punctuation": True, "stop_word_mode": "none",
+                 "frequency_top_n": None, "stemming": False, "ngram_size": 1}
 
-    def __init__(self, lowercase: bool = True, strip_punctuation: bool = True,
-                 stop_word_mode: str = "none", frequency_top_n: Optional[int] = None,
-                 stemming: bool = False, ngram_size: int = 1):
-        self._init(lowercase, strip_punctuation, stop_word_mode, frequency_top_n, stemming,
-                   ngram_size)
+    def _check(self):
         for name in ("lowercase", "strip_punctuation", "stemming"):
             if type(getattr(self, name)) is not bool:
                 raise ValueError(f"{name} must be true or false")
@@ -65,12 +63,12 @@ class PipelineConfig(Record):
 
 class StopList(Record):
     __slots__ = _fields = ("words", "origin")
+    _defaults = {"words": frozenset(), "origin": "dictionary"}
 
-    def __init__(self, words: frozenset = frozenset(), origin: str = "dictionary"):
-        self._init(words, origin)
-        if not all(type(w) is str and w for w in words):
+    def _check(self):
+        if not all(type(w) is str and w for w in self.words):
             raise ValueError("stop words must be non-empty strings")
-        if type(origin) is not str:
+        if type(self.origin) is not str:
             raise ValueError("stop list origin must be a string")
 
 
@@ -179,9 +177,8 @@ class LabeledCorpus(Record):
 
     __slots__ = _fields = ("documents",)
 
-    def __init__(self, documents: Tuple[Tuple[str, Any], ...]):
-        self._init(documents)
-        if not documents:
+    def _check(self):
+        if not self.documents:
             raise ValueError("corpus must contain at least one document")
 
     @property

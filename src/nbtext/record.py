@@ -1,21 +1,46 @@
-"""``Record``, the base of nbtext's immutable value types: its methods compile
-once into the ``.pyc``, where a dataclass ``exec``s the ones it generates."""
+"""``Record``, the base of every nbtext value type: one ``__init__`` binds a
+record's fields and checks them, and one set of methods, compiled once into
+the ``.pyc``, gives every record its equality, hash, repr, immutability and
+copies; nothing is generated or ``exec``ed when a record type is defined."""
 
 _set = object.__setattr__
 
 
 class Record:
-    """A subclass names its fields in order in ``_fields`` and keeps them in
-    ``__slots__``; its ``__init__`` takes them in that order, sets them and
-    checks them. Records of one type with equal fields are equal, a record
-    hashes as the tuple of its fields and shows as ``Name(field=value, ...)``,
-    and assigning to or deleting an attribute raises AttributeError."""
+    """A subclass names its fields in order in ``_fields``, keeps them in
+    ``__slots__`` and gives the values of the trailing fields a caller may leave
+    out in ``_defaults``. A record is built from its fields, by position or by
+    name; a missing, unknown, repeated or extra field raises TypeError, then
+    ``_check`` raises ValueError if the fields do not make a valid record.
+    Records of one type with equal fields are equal, a record hashes as the
+    tuple of its fields and shows as ``Name(field=value, ...)``, and assigning
+    to or deleting an attribute raises AttributeError. A changed record is
+    built through its constructor."""
 
     __slots__ = _fields = ()
+    _defaults = {}
 
-    def _init(self, *values):
-        for name, value in zip(self._fields, values, strict=True):
-            _set(self, name, value)
+    def __init__(self, *args, **kwargs):
+        name, fields = self.__class__.__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() got {len(args)} arguments for the fields {fields}")
+        for field, value in zip(fields, args):
+            if field in kwargs:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+            _set(self, field, value)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                _set(self, field, kwargs.pop(field))
+            elif field in self._defaults:
+                _set(self, field, self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected keyword argument {next(iter(kwargs))!r}")
+        self._check()
+
+    def _check(self):
+        """Raise ValueError unless the fields make a valid record."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

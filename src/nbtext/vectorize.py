@@ -51,10 +51,9 @@ class Vocabulary(Record):
     _fields = ("token_to_id", "document_frequency", "total_documents")
     __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached idf_table
 
-    def __init__(self, token_to_id: Dict[str, int], document_frequency: List[int],
-                 total_documents: int):
-        self._init(token_to_id, document_frequency, total_documents)
-        n, df, total = len(token_to_id), document_frequency, total_documents
+    def _check(self):
+        token_to_id, df, total = self._values()
+        n = len(token_to_id)
         if len(df) != n:
             raise ValueError("document_frequency length must equal vocabulary size")
         # the n ids are 0..n-1 each once when they mark all n bytes of seen; an id
@@ -102,7 +101,7 @@ class SparseVector(Record):
     __slots__ = _fields = ("entries", "doc_length")
 
     def __init__(self, entries: Dict[int, float], doc_length: int):
-        _set(self, "entries", entries)  # field by field, faster than _init
+        _set(self, "entries", entries)  # field by field, faster than Record's
         _set(self, "doc_length", doc_length)
         if not all(0 < v < math.inf for v in entries.values()):
             raise ValueError("sparse vector entries must be finite and strictly positive")

@@ -7,7 +7,6 @@ are stated inline. The SMS check skips with download instructions when the
 public corpus is not present.
 """
 
-import dataclasses
 import math
 import os
 import random
@@ -55,9 +54,8 @@ QUERY = ("blue", "square")
 
 
 def _force_priors(model, probabilities):
-    return dataclasses.replace(
-        model, priors=ClassPriors.from_probabilities(probabilities)
-    )
+    rest = (getattr(model, name) for name in model._fields[1:])
+    return type(model)(ClassPriors.from_probabilities(probabilities), *rest)
 
 
 def test_criterion_01_worked_example_golden_values(toy_shapes):

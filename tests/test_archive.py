@@ -1,9 +1,10 @@
 """Save/load fidelity: identical decisions and log-scores after a round trip."""
 
-import dataclasses
+import copy
 import io
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from nbtext.archive import (
 )
 from nbtext.evaluation import load_corpus
 from nbtext.models import (
+    CategoricalModel,
     ClassPriors,
     fit_bernoulli,
     fit_categorical,
@@ -189,14 +191,34 @@ def test_unknown_variant_rejected(tmp_path, toy_shapes):
 
 
 def test_forced_priors_cannot_be_archived(tmp_path, toy_shapes):
-    import dataclasses
-
     model = fit_categorical(*toy_shapes, alpha=0.0)
-    forced = dataclasses.replace(
-        model, priors=ClassPriors.from_probabilities({"+": 0.5, "-": 0.5})
+    forced = CategoricalModel(
+        ClassPriors.from_probabilities({"+": 0.5, "-": 0.5}),
+        model.value_counts, model.class_counts, model.alpha,
     )
     with pytest.raises(ArchiveError, match="counts"):
         save_archive(ModelArchive("categorical", forced), tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_model_that_has_scored_pickles_and_copies(data_dir, toy_shapes, variant):
+    """Scoring caches what a model derives from its counts (a Bernoulli model's
+    linear_form holds a closure, which pickle cannot take); a copy is rebuilt
+    from the fields and scores alike."""
+    if VARIANTS[variant].text:
+        labels, inputs = zip(*load_corpus(data_dir / "sample_messages.tsv").documents)
+        query = "free prize call now"
+    elif variant == "categorical":
+        inputs, labels = toy_shapes
+        query = "blue,square"
+    else:
+        inputs, labels, query = [[0.0], [1.0], [5.0], [6.0]], ["a", "a", "b", "b"], "2.5"
+    archive = train(variant, labels, inputs)
+    x = archive.encode(query)
+    scores = posterior_scores(archive.model, x).log_scores
+    for copied in (pickle.loads(pickle.dumps(archive)), copy.deepcopy(archive)):
+        assert copied == archive and copied.model == archive.model
+        assert posterior_scores(copied.model, x).log_scores == scores
 
 
 def test_encode_text_requires_text_variant(toy_shapes):
@@ -285,7 +307,8 @@ def test_archive_refuses_a_weighting_its_variant_does_not_take(data_dir):
     # a Bernoulli model scores binary vectors only, and a row model takes none
     archive, _ = _text_archive(data_dir, "bernoulli", BINARY)
     with pytest.raises(ValueError, match="bernoulli takes binary weighting, not 'tfidf'"):
-        dataclasses.replace(archive, weighting=TFIDF)
+        ModelArchive(archive.variant, archive.model, archive.pipeline_config, archive.vocab,
+                     TFIDF, archive.stops)
     model = fit_gaussian([[0.0], [1.0], [5.0], [6.0]], ["a", "a", "b", "b"])
     with pytest.raises(ValueError, match="gaussian takes no weighting, not 'raw_count'"):
         ModelArchive("gaussian", model, weighting=RAW_COUNT)
@@ -551,8 +574,8 @@ def _ordered(value):
 def _text_fields(archive):
     model, vocab = archive.model, archive.vocab
     return {
-        "priors": _ordered(dataclasses.asdict(model.priors)),
-        "model": {f.name: _ordered(getattr(model, f.name)) for f in dataclasses.fields(model)[1:]},
+        "priors": _ordered({name: getattr(model.priors, name) for name in model.priors._fields}),
+        "model": {name: _ordered(getattr(model, name)) for name in model._fields[1:]},
         "token_to_id": _ordered(vocab.token_to_id),
         "document_frequency": vocab.document_frequency,
         "total_documents": vocab.total_documents,

@@ -761,6 +761,12 @@ class TestPredict:
         ("multinomial", lambda doc: doc["vocabulary"]["tokens"].__setitem__(
             1, doc["vocabulary"]["tokens"][0]),
          "error: document_frequency length must equal vocabulary size\n"),
+        # pipeline keys: save_archive writes all six, so none falls to a default
+        ("multinomial", lambda doc: [doc["pipeline"].pop(key)
+                                     for key in ("stemming", "stop_word_mode")],
+         "error: archive is missing field 'stemming'\n"),
+        ("multinomial", lambda doc: doc["pipeline"].update(colour="red"),
+         "error: malformed archive: "),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
             "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
@@ -783,7 +789,8 @@ class TestPredict:
             "tf_sums-key-signed", "tf_sums-key-underscore", "tf_sums-key-zero-padded",
             "tf_sums-key-suffix", "tf_sums-key-float", "mean-401-digits",
             "vocab_size-plus-one", "stop-words-string", "stop-words-object",
-            "tokens-string", "origin-list", "origin-int", "tokens-repeated"])
+            "tokens-string", "origin-list", "origin-int", "tokens-repeated",
+            "pipeline-key-missing", "pipeline-key-unknown"])
     def test_malformed_archive(
         self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
     ):

@@ -75,6 +75,17 @@ def test_predict_loads_no_heapq(model):
     assert _added_modules("predict", "--model", model, "free prize", watched=["heapq"]) == []
 
 
+def test_train_and_predict_load_no_dataclasses(tmp_path, corpus, model):
+    # records bind their own fields, so nothing needs dataclasses or the
+    # inspect module it imports
+    watched = ["dataclasses", "inspect"]
+    argv = ["train", "--input", corpus, "--model", str(tmp_path / "model.json"),
+            "--variant", "multinomial", "--stem", "on", "--stop-words", "top:5"]
+    assert _added_modules(*argv, watched=watched) == []
+    assert _added_modules("predict", "--model", model, "--probs", "free prize",
+                          watched=watched) == []
+
+
 def test_train_with_a_frequency_stop_list_loads_heapq(tmp_path, corpus):
     argv = ["train", "--input", corpus, "--model", str(tmp_path / "model.json"),
             "--variant", "multinomial", "--stop-words", "top:5"]

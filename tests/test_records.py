@@ -1,7 +1,8 @@
-"""The value records keep the value semantics a frozen dataclass gives: field
-equality within one type, the hash of the field tuple, read-only fields and the
-``Name(field=value, ...)`` repr. Only the types that callers take apart with
-``dataclasses.replace``, ``fields`` or ``asdict`` are dataclasses."""
+"""Every value type is a ``Record``, with the value semantics of a frozen
+dataclass: field equality within one type, the hash of the field tuple,
+read-only fields and the ``Name(field=value, ...)`` repr. A record binds its
+fields by position or by name, the trailing ones from its defaults, and is then
+checked; no nbtext class is a dataclass."""
 
 import copy
 import dataclasses
@@ -13,14 +14,25 @@ import pkgutil
 import pytest
 
 import nbtext
-from nbtext.archive import Variant
+from nbtext.archive import ModelArchive, Variant
 from nbtext.evaluation import EvaluationReport, LabelMetrics
-from nbtext.models import PosteriorReport
+from nbtext.models import (
+    BernoulliModel,
+    CategoricalModel,
+    ClassPriors,
+    GaussianModel,
+    MultinomialModel,
+    PosteriorReport,
+)
 from nbtext.pipeline import LabeledCorpus, PipelineConfig, StopList
 from nbtext.vectorize import SparseVector, Vocabulary
 
-# record type -> its fields in order, each with a valid value and another valid
-# value that may replace it alone
+UNCOUNTED = ClassPriors({"a": 1.0})
+COUNTED = ClassPriors({"a": 1.0}, {"a": 2}, 2)
+MULTINOMIAL = MultinomialModel(UNCOUNTED, {"a": {0: 1.0}}, {"a": 1.0}, 1, 1.0)
+
+# record type -> its fields in order, each with a valid value and, unless no
+# other value is valid with the rest, another valid value that may replace it alone
 SAMPLES = {
     Variant: {
         "name": ("bernoulli", "other"), "model_class": (int, float), "fit": (len, max),
@@ -56,9 +68,39 @@ SAMPLES = {
         "n_test": (2, 3),
         "zero_division_labels": (frozenset(), frozenset({"a"})),
     },
+    ClassPriors: {
+        "probabilities": ({"a": 0.5, "b": 0.5}, {"a": 0.25, "b": 0.75}),
+        "counts": ({"a": 1, "b": 1}, {"a": 2, "b": 2}), "total": (2, 4),
+    },
+    CategoricalModel: {
+        "priors": (UNCOUNTED, COUNTED),
+        "value_counts": (({"a": {"x": 2}},), ({"a": {"x": 1, "y": 1}},)),
+        "class_counts": ({"a": 2}, {"a": 2, "b": 0}), "alpha": (0.0, 1.0),
+    },
+    BernoulliModel: {
+        "priors": (UNCOUNTED, COUNTED), "doc_counts": ({}, {"a": [1, 0]}),
+        "class_doc_counts": ({"a": 2}, {"a": 3}), "vocab_size": (2, 3),
+    },
+    MultinomialModel: {
+        "priors": (UNCOUNTED, COUNTED), "tf_sums": ({"a": {0: 1.0}}, {"a": {1: 1.0}}),
+        "class_totals": ({"a": 1.0}, {"a": 1.0, "b": 0.0}), "vocab_size": (2, 3),
+        "alpha": (1.0, 0.5),
+    },
+    GaussianModel: {
+        "priors": (UNCOUNTED, COUNTED), "means": ({}, {"a": [0.0]}),
+        "stds": ({}, {"a": [1.0]}), "n_features": (1, 2),
+    },
+    ModelArchive: {
+        "variant": ("multinomial",),  # each variant holds its own model class
+        "model": (MULTINOMIAL, MultinomialModel(UNCOUNTED, {"a": {}}, {"a": 0}, 1, 1.0)),
+        "pipeline_config": (PipelineConfig(), PipelineConfig(stemming=True)),
+        "vocab": (Vocabulary({"x": 0}, [1], 1), Vocabulary({"y": 0}, [1], 1)),
+        "weighting": ("raw_count", "tfidf"), "stops": (None, StopList()),
+    },
 }
 # record types whose sample holds a dict, so hashing it raises TypeError
-HOLDS_A_DICT = {Vocabulary, SparseVector, PosteriorReport, EvaluationReport}
+HOLDS_A_DICT = {Vocabulary, SparseVector, PosteriorReport, EvaluationReport, ClassPriors,
+                CategoricalModel, BernoulliModel, MultinomialModel, GaussianModel, ModelArchive}
 RECORDS = pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
 
 
@@ -71,8 +113,9 @@ def test_equal_exactly_when_of_one_type_with_equal_fields(cls):
     record = cls(**_fields(cls))
     assert record == cls(**_fields(cls)) and not record != cls(**_fields(cls))
     assert cls(*_fields(cls).values()) == record
-    for name, (_, other) in SAMPLES[cls].items():
-        assert cls(**_fields(cls, **{name: other})) != record, name
+    for name, (_, *other) in SAMPLES[cls].items():
+        if other:
+            assert cls(**_fields(cls, **{name: other[0]})) != record, name
     subclass = type("Subclass", (cls,), {})
     assert subclass(**_fields(cls)) != record and record != subclass(**_fields(cls))
     assert record != tuple(_fields(cls).values())
@@ -81,9 +124,9 @@ def test_equal_exactly_when_of_one_type_with_equal_fields(cls):
 @RECORDS
 def test_fields_are_read_only(cls):
     record = cls(**_fields(cls))
-    for name, (value, other) in SAMPLES[cls].items():
+    for name, (value, *_) in SAMPLES[cls].items():
         with pytest.raises(AttributeError):
-            setattr(record, name, other)
+            setattr(record, name, None)
         with pytest.raises(AttributeError):
             delattr(record, name)
         assert getattr(record, name) == value
@@ -120,9 +163,9 @@ def test_copy_and_pickle_give_an_equal_record(cls):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
-def test_only_the_types_callers_take_apart_are_dataclasses():
-    """dataclasses.replace, fields and asdict are used on these alone; any other
-    dataclass would exec its generated methods at every start-up."""
+def test_no_nbtext_class_is_a_dataclass():
+    """A dataclass execs its generated methods at every start-up; a record is
+    built and changed through its constructor instead."""
     found = set()
     for info in pkgutil.iter_modules(nbtext.__path__):
         module = importlib.import_module(f"nbtext.{info.name}")
@@ -131,5 +174,33 @@ def test_only_the_types_callers_take_apart_are_dataclasses():
             if inspect.isclass(obj) and obj.__module__ == module.__name__
             and dataclasses.is_dataclass(obj)
         }
-    assert found == {"ClassPriors", "CategoricalModel", "BernoulliModel",
-                     "MultinomialModel", "GaussianModel", "ModelArchive"}
+    assert found == set()
+
+
+def test_binds_by_position_or_by_name():
+    values = (False, True, "frequency", 3, True, 2)
+    by_position = PipelineConfig(*values)
+    assert by_position._values() == values
+    assert PipelineConfig(**dict(zip(PipelineConfig._fields, values))) == by_position
+    assert PipelineConfig(False, True, "frequency", ngram_size=2, stemming=True,
+                          frequency_top_n=3) == by_position
+
+
+def test_trailing_fields_left_out_take_their_defaults():
+    assert PipelineConfig()._values() == tuple(PipelineConfig._defaults.values())
+    assert StopList(frozenset({"the"})) == StopList(frozenset({"the"}), "dictionary")
+    assert ClassPriors({"a": 1.0}).counts is None and ClassPriors({"a": 1.0}).total is None
+    assert ModelArchive("multinomial", MULTINOMIAL, PipelineConfig(),
+                        Vocabulary({"x": 0}, [1], 1), "raw_count").stops is None
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: LabelMetrics(0.5, 0.5, 0.5), r"LabelMetrics\(\) missing argument 'support'"),
+    (lambda: ClassPriors(counts={"a": 1}, total=1), "missing argument 'probabilities'"),
+    (lambda: StopList(colour="red"), "unexpected keyword argument 'colour'"),
+    (lambda: StopList(frozenset(), words=frozenset()), "multiple values for argument 'words'"),
+    (lambda: LabeledCorpus((("a", "b"),), ()), r"got 2 arguments for the fields \('documents',\)"),
+], ids=["missing", "missing-first", "unknown", "repeated", "too-many"])
+def test_a_field_missing_unknown_repeated_or_extra_raises_type_error(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
