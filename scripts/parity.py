@@ -229,6 +229,22 @@ MALFORMED = {
         lambda doc: [doc["pipeline"].pop(key) for key in ("stemming", "stop_word_mode")])),
     "pipeline-key-unknown": ("sample-multinomial", _edit_json(
         lambda doc: doc["pipeline"].update(colour="red"))),
+    "archive-key-unknown": ("sample-multinomial", _edit_json(
+        lambda doc: doc.update(zz=1, colour="red"))),
+    "priors-key-unknown": ("sample-multinomial", _edit_json(
+        lambda doc: doc["priors"].update(colour="red"))),
+    "parameters-key-misspelt": ("sample-multinomial", _edit_json(
+        lambda doc: doc["parameters"].update(alhpa=5.0))),
+    "stop-words-key-unknown": ("sample-multinomial-stem-top5-tfidf-bigrams", _edit_json(
+        lambda doc: doc["stop_words"].update(colour="red"))),
+    "vocabulary-key-unknown": ("sample-multinomial", _edit_json(
+        lambda doc: doc["vocabulary"].update(colour="red"))),
+    "vocabulary-list": ("sample-multinomial", _edit_json(
+        lambda doc: doc.update(vocabulary=[]))),
+    "future-version-key-unknown": ("sample-multinomial", _edit_json(
+        lambda doc: doc.update(format_version=2, colour="red"))),
+    "stop-words-null": ("sample-multinomial-stem-top5-tfidf-bigrams", _edit_json(
+        lambda doc: doc.update(stop_words=None))),
 }
 
 ERRORS = {

@@ -8,8 +8,8 @@ a round-tripped model classifies identically and reproduces log-scores.
 import json
 import math
 import operator
-from pathlib import Path
-from typing import Optional, Sequence, Union
+import os
+from collections.abc import Sequence
 
 from .models import (
     BernoulliModel,
@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+# the archive's top-level keys, in the order save_archive writes them
+_ARCHIVE_KEYS = ("format_version", "variant", "priors", "parameters", "pipeline",
+                 "weighting", "stop_words", "vocabulary")
 
 
 def finite_float(cell) -> float:
@@ -72,7 +75,7 @@ class Variant(Record):
     def text(self) -> bool:
         return bool(self.weightings)
 
-    def check(self, weighting: Optional[str]) -> Optional[str]:
+    def check(self, weighting: str | None) -> str | None:
         """The weighting to train with (None: the default); ValueError if not taken."""
         if weighting is None:
             return self.weightings[0] if self.text else None
@@ -109,7 +112,8 @@ class ModelArchive(Record):
     """A trained model plus everything needed to classify new input:
     pipeline config, stop list, vocabulary, and weighting mode (text
     variants only; row variants carry none of these). The variant must take
-    the weighting, and the vocabulary must count the priors' documents."""
+    the weighting, the vocabulary must count the priors' documents, and a
+    pipeline that removes stop words needs its stop list."""
 
     __slots__ = _fields = ("variant", "model", "pipeline_config", "vocab", "weighting", "stops")
     _defaults = {"pipeline_config": None, "vocab": None, "weighting": None, "stops": None}
@@ -133,6 +137,9 @@ class ModelArchive(Record):
             total = self.model.priors.total
             if total is not None and self.vocab.total_documents != total:
                 raise ValueError(f"total_documents must be the priors total, {total}")
+            mode = self.pipeline_config.stop_word_mode
+            if mode != "none" and self.stops is None:  # as the text step refuses it
+                raise ValueError(f"stop_word_mode={mode!r} requires a stop list")
 
     def encode(self, x):
         """One raw input as the model scores it: text vectorized as at training
@@ -153,6 +160,21 @@ class ModelArchive(Record):
         return vectorize(stream, self.vocab, self.weighting)
 
 
+def _section(doc, name: str, keys: Sequence[str]) -> list:
+    """The values of archive section ``name`` in the order of ``keys``, the keys
+    ``save_archive`` writes to it: KeyError for the first missing key in sorted
+    order, TypeError for the first unknown key likewise, or for a section that
+    is no JSON object."""
+    if type(doc) is not dict:
+        raise TypeError(f"{name} must be a JSON object")
+    if doc.keys() != set(keys):
+        missing = set(keys).difference(doc)
+        if missing:
+            raise KeyError(min(missing))
+        raise TypeError(f"{name} has unknown field {min(doc.keys() - set(keys))!r}")
+    return [doc[key] for key in keys]
+
+
 def _priors_payload(priors: ClassPriors) -> dict:
     if priors.counts is None:
         raise ArchiveError(
@@ -167,7 +189,7 @@ def _priors_payload(priors: ClassPriors) -> dict:
 
 
 def _priors_from_payload(payload: dict) -> ClassPriors:
-    labels, counts, total = payload["labels"], payload["counts"], payload["total"]
+    labels, counts, total = _section(payload, "priors", ("labels", "counts", "total"))
     if len(set(labels)) != len(labels) or len(counts) != len(labels):
         raise ValueError("priors need one count per distinct label")
     priors = ClassPriors.from_counts(dict(zip(labels, counts)))
@@ -207,10 +229,10 @@ def _model_payload(model: NaiveBayesModel) -> dict:
 def _model_from_payload(
     model_class: type, payload: dict, priors: ClassPriors
 ) -> NaiveBayesModel:
-    params = {}
-    for name in model_class._fields[1:]:
+    names, params = model_class._fields[1:], {}
+    for name, value in zip(names, _section(payload, "parameters", names)):
         decode = _FIELD_DECODERS.get(name)
-        params[name] = decode(payload[name]) if decode else payload[name]
+        params[name] = decode(value) if decode else value
     # every dict parameter, and each value_counts position, is keyed by label
     labels = set(priors.labels)
     for name, value in params.items():
@@ -226,8 +248,8 @@ def train(
     inputs: Sequence,
     alpha: float = 1.0,
     pipeline_config: PipelineConfig = PipelineConfig(),
-    weighting: Optional[str] = None,
-    stops: Optional[StopList] = None,
+    weighting: str | None = None,
+    stops: StopList | None = None,
 ) -> ModelArchive:
     """Fit a ``variant`` model and return it as an archive.
 
@@ -261,7 +283,7 @@ def train(
     return ModelArchive(variant, model, pipeline_config, vocab, weighting, stops)
 
 
-def save_archive(archive: ModelArchive, path: Union[str, Path]) -> None:
+def save_archive(archive: ModelArchive, path: str | os.PathLike) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "variant": archive.variant,
@@ -290,7 +312,7 @@ def save_archive(archive: ModelArchive, path: Union[str, Path]) -> None:
         fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
 
 
-def load_archive(path: Union[str, Path]) -> ModelArchive:
+def load_archive(path: str | os.PathLike) -> ModelArchive:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -305,37 +327,30 @@ def load_archive(path: Union[str, Path]) -> ModelArchive:
                 f"unsupported format_version {version}; this build reads "
                 f"version {FORMAT_VERSION}"
             )
-        variant = doc["variant"]
+        # every section is read whole, so no field falls to a default and no
+        # unknown (say, misspelt) field is passed over; null is a section the
+        # variant does not carry
+        _, variant, priors, parameters, pipeline, weighting, stops, vocab = _section(
+            doc, "archive", _ARCHIVE_KEYS
+        )
         spec = _variant_spec(variant)
-        priors = _priors_from_payload(doc["priors"])
-        model = _model_from_payload(spec.model_class, doc["parameters"], priors)
-        pipeline_config = None
-        if doc.get("pipeline"):
-            pipeline = doc["pipeline"]
-            pipeline_config = PipelineConfig(**pipeline)  # TypeError for an unknown key
-            missing = set(PipelineConfig._fields).difference(pipeline)
-            if missing:  # save_archive writes every field; none may fall to its default
-                raise KeyError(min(missing))
-        stops = None
-        if doc.get("stop_words"):
-            words = doc["stop_words"]["words"]
+        priors = _priors_from_payload(priors)
+        model = _model_from_payload(spec.model_class, parameters, priors)
+        if pipeline is not None:
+            pipeline = PipelineConfig(*_section(pipeline, "pipeline", PipelineConfig._fields))
+        if stops is not None:
+            origin, words = _section(stops, "stop_words", ("origin", "words"))
             if type(words) is not list:  # frozenset would take a str's characters
                 raise ValueError("stop_words words must be a list")
-            stops = StopList(frozenset(words), doc["stop_words"]["origin"])
-        vocab = None
-        if doc.get("vocabulary"):
-            v = doc["vocabulary"]
-            tokens = v["tokens"]
+            stops = StopList(frozenset(words), origin)
+        if vocab is not None:
+            tokens, df, total = _section(
+                vocab, "vocabulary", ("tokens", "document_frequency", "total_documents")
+            )
             if type(tokens) is not list:  # zip would take a str's characters
                 raise ValueError("vocabulary tokens must be a list")
-            vocab = Vocabulary(
-                dict(zip(tokens, range(len(tokens)))),
-                v["document_frequency"],
-                v["total_documents"],
-            )
-        archive = ModelArchive(
-            variant, model, pipeline_config, vocab, doc.get("weighting"), stops
-        )
+            vocab = Vocabulary(dict(zip(tokens, range(len(tokens)))), df, total)
+        archive = ModelArchive(variant, model, pipeline, vocab, weighting, stops)
     except KeyError as exc:
         raise ArchiveError(f"archive is missing field {exc}") from exc
     except (TypeError, AttributeError) as exc:

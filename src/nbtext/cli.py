@@ -7,7 +7,6 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
 
 from .archive import (
     VARIANTS,
@@ -110,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_stop_spec(spec: str) -> Tuple[str, Optional[str], Optional[int]]:
+def _parse_stop_spec(spec: str) -> tuple[str, str | None, int | None]:
     if spec == "none":
         return "none", None, None
     if spec.startswith("dict:"):
@@ -236,7 +235,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _top_tokens(archive: ModelArchive, k: int) -> List[str]:
+def _top_tokens(archive: ModelArchive, k: int) -> list[str]:
     model = archive.model
     tokens = archive.vocab.id_to_token()
     lines = []

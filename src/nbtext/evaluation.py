@@ -7,7 +7,7 @@ and the head of that ordering becomes the test partition.
 """
 
 import hashlib
-from typing import Any, Iterable, List, Sequence, Tuple
+from collections.abc import Iterable, Sequence
 
 from .archive import ModelArchive
 from .models import classify
@@ -35,7 +35,7 @@ def _index_digest(key: bytes, index: int) -> bytes:
 
 def split_indices(
     n: int, test_fraction: float, seed: int
-) -> Tuple[List[int], List[int]]:
+) -> tuple[list[int], list[int]]:
     """Partition indices 0..n-1 into (train, test); test gets
     round(n * fraction) items. Items are ordered by a keyed hash of their
     index, so identical inputs always give identical partitions."""
@@ -57,7 +57,7 @@ def split_indices(
 
 def split(
     corpus: LabeledCorpus, test_fraction: float, seed: int
-) -> Tuple[LabeledCorpus, LabeledCorpus]:
+) -> tuple[LabeledCorpus, LabeledCorpus]:
     """Deterministic train/test partition of a labeled corpus."""
     train_idx, test_idx = split_indices(len(corpus), test_fraction, seed)
     docs = corpus.documents
@@ -90,7 +90,7 @@ class EvaluationReport(Record):
 
 
 def tally(
-    pairs: Sequence[Tuple[str, str]], model_labels: Sequence[str]
+    pairs: Sequence[tuple[str, str]], model_labels: Sequence[str]
 ) -> EvaluationReport:
     """Score (true, predicted) pairs, reading the whole report off the confusion
     matrix. True labels outside the model's classes keep their own rows; a
@@ -122,7 +122,7 @@ def tally(
 
 
 def evaluate(
-    archive: ModelArchive, test: Iterable[Tuple[str, Any]]
+    archive: ModelArchive, test: Iterable[tuple[str, object]]
 ) -> EvaluationReport:
     """Classify each (true label, raw input) pair's input through
     ``archive.encode`` and tally the predictions against the true labels."""

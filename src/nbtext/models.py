@@ -10,10 +10,10 @@ conditionals mapping to -inf rather than raising.
 
 import math
 from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .record import Record, _set
+from .record import Record
 from .vectorize import SparseVector, Vocabulary
 
 __all__ = [
@@ -45,7 +45,7 @@ _PRIOR_SUM_TOL = 1e-12
 # Text models are linear (McCallum & Nigam 1998): log P(x | c) = base_c + sum_i
 # w_i * theta_c(i, unseen_c) over the ids in x, theta_c giving unseen_c for an id
 # it does not hold; tables cost O(entries) once.
-LinearForm = Tuple[float, Callable[[int, float], float], float]
+LinearForm = tuple[float, Callable[[int, float], float], float]
 
 
 def _log(p: float) -> float:
@@ -85,12 +85,12 @@ class ClassPriors(Record):
             raise ValueError("counts and total must be supplied together")
 
     @classmethod
-    def from_probabilities(cls, probabilities: Dict[str, float]) -> "ClassPriors":
+    def from_probabilities(cls, probabilities: dict[str, float]) -> "ClassPriors":
         """Build priors from explicit probabilities (no backing counts)."""
         return cls(dict(probabilities))
 
     @classmethod
-    def from_counts(cls, counts: Dict[str, int]) -> "ClassPriors":
+    def from_counts(cls, counts: dict[str, int]) -> "ClassPriors":
         """Estimate P(class) as the class's share of the samples; every count
         must be an int >= 1 (TypeError for any other type, bools included)."""
         if not set(map(type, counts.values())) <= {int}:
@@ -101,11 +101,11 @@ class ClassPriors(Record):
         return cls({lab: n / total for lab, n in counts.items()}, dict(counts), total)
 
     @property
-    def labels(self) -> List[str]:
+    def labels(self) -> list[str]:
         return list(self.probabilities)
 
     @cached_property
-    def log_probabilities(self) -> Dict[str, float]:
+    def log_probabilities(self) -> dict[str, float]:
         return {c: math.log(p) for c, p in self.probabilities.items()}
 
 
@@ -161,7 +161,7 @@ class CategoricalModel(Record):
         return len(self.value_counts)
 
     @cached_property
-    def domains(self) -> Tuple[frozenset, ...]:
+    def domains(self) -> tuple[frozenset, ...]:
         out = []
         for table in self.value_counts:
             values = set()
@@ -216,7 +216,7 @@ def _text_log_likelihood(model, vec: SparseVector, label: str) -> float:
         return base + sum(terms)
 
 
-def _by_count(table: Dict[int, float], counts: List[int]) -> Callable[[int, float], float]:
+def _by_count(table: dict[int, float], counts: list[int]) -> Callable[[int, float], float]:
     """id i -> table[counts[i]]; ids outside ``counts`` give the default."""
     n = len(counts)
     return lambda i, default: table[counts[i]] if 0 <= i < n else default
@@ -260,7 +260,7 @@ class BernoulliModel(Record):
     log_likelihood = _text_log_likelihood
 
     @cached_property
-    def linear_form(self) -> Dict[str, LinearForm]:
+    def linear_form(self) -> dict[str, LinearForm]:
         """Per class: (sum_i log(1 - p_i), id i -> log p_i - log(1 - p_i), 0.0)."""
         # p_i depends only on df_i, so the logs are taken once per distinct
         # count, and an id's delta is read through its count when it is scored
@@ -275,7 +275,7 @@ class BernoulliModel(Record):
 
 
 def bernoulli_from_entries(
-    tables: Iterable[Dict[int, float]], labels: Sequence[str], vocab_size: int
+    tables: Iterable[dict[int, float]], labels: Sequence[str], vocab_size: int
 ) -> BernoulliModel:
     """Count, per class, the documents that hold each token id; ``tables`` gives
     each document's id -> weight table, whose weights are not read, one per label."""
@@ -350,7 +350,7 @@ class MultinomialModel(Record):
     log_likelihood = _text_log_likelihood
 
     @cached_property
-    def linear_form(self) -> Dict[str, LinearForm]:
+    def linear_form(self) -> dict[str, LinearForm]:
         """Per class: (0.0, {seen id: log P(id | class)}, log P(unseen id | class))."""
         out = {}
         for label in self.priors.labels:
@@ -362,7 +362,7 @@ class MultinomialModel(Record):
 
 
 def multinomial_from_entries(
-    tables: Iterable[Dict[int, float]],
+    tables: Iterable[dict[int, float]],
     labels: Sequence[str],
     vocab_size: int,
     alpha: float,
@@ -371,8 +371,8 @@ def multinomial_from_entries(
     document then entry order; ``tables`` gives each document's id -> weight
     table, one per label."""
     priors = fit_priors(labels)
-    tf_sums: Dict[str, Dict[int, float]] = {lab: {} for lab in priors.labels}
-    class_totals: Dict[str, float] = {lab: 0.0 for lab in priors.labels}
+    tf_sums: dict[str, dict[int, float]] = {lab: {} for lab in priors.labels}
+    class_totals: dict[str, float] = {lab: 0.0 for lab in priors.labels}
     for table, lab in zip(tables, labels, strict=True):
         sums = tf_sums[lab]
         total = class_totals[lab]
@@ -430,11 +430,11 @@ def fit_gaussian(
 ) -> GaussianModel:
     n_features = _row_width(feature_rows, labels)
     priors = fit_priors(labels)
-    by_class: Dict[str, List[Sequence[float]]] = {lab: [] for lab in priors.labels}
+    by_class: dict[str, list[Sequence[float]]] = {lab: [] for lab in priors.labels}
     for row, lab in zip(feature_rows, labels):
         by_class[lab].append(row)
-    means: Dict[str, List[float]] = {}
-    stds: Dict[str, List[float]] = {}
+    means: dict[str, list[float]] = {}
+    stds: dict[str, list[float]] = {}
     for lab, rows in by_class.items():
         n = len(rows)
         if n < 2:
@@ -462,13 +462,7 @@ class PosteriorReport(Record):
     """
 
     __slots__ = _fields = ("log_scores", "posteriors", "predicted", "degenerate_evidence")
-
-    def __init__(self, log_scores: Dict[str, float], posteriors: Dict[str, float],
-                 predicted: str, degenerate_evidence: bool = False):
-        _set(self, "log_scores", log_scores)  # field by field, faster than Record's
-        _set(self, "posteriors", posteriors)
-        _set(self, "predicted", predicted)
-        _set(self, "degenerate_evidence", degenerate_evidence)
+    _defaults = {"degenerate_evidence": False}
 
 
 def log_likelihood(model: NaiveBayesModel, x, label: str) -> float:
@@ -505,7 +499,7 @@ def posterior_scores(model: NaiveBayesModel, x) -> PosteriorReport:
     return PosteriorReport(scores, posteriors, predicted, degenerate)
 
 
-def normalized_posteriors(model: NaiveBayesModel, x) -> Dict[str, float]:
+def normalized_posteriors(model: NaiveBayesModel, x) -> dict[str, float]:
     """Posterior probabilities per class, summing to 1."""
     return posterior_scores(model, x).posteriors
 

@@ -7,11 +7,11 @@ lists are immutable once built.
 """
 
 import io
+import os
 import unicodedata
 from collections import Counter, defaultdict
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
-from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .porter import porter_stem
 from .record import Record
@@ -129,7 +129,7 @@ def build_stop_list(corpus: Iterable[list], n: int) -> StopList:
     return _frequency_stop_list(counts, n)
 
 
-def read_lines(lines: Iterable[str], name: str = "input") -> Iterator[Tuple[int, str]]:
+def read_lines(lines: Iterable[str], name: str = "input") -> Iterator[tuple[int, str]]:
     """Yield ``(line number, line)`` for each line holding more than whitespace,
     less its newline and, on line 1, a byte-order mark; skipped lines are counted.
     A line that is not UTF-8 fails at ``name``. Every line nbtext reads comes here."""
@@ -146,7 +146,7 @@ def read_lines(lines: Iterable[str], name: str = "input") -> Iterator[Tuple[int,
             yield number, line.rstrip("\n")
 
 
-def read_file_lines(path: Union[str, Path]) -> Iterator[Tuple[int, str]]:
+def read_file_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
     """``read_lines`` over the UTF-8 file at ``path``, split at LF only, less one
     trailing CR. Any other CR fails at ``path:line``. Input files open here."""
     with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
@@ -156,7 +156,7 @@ def read_file_lines(path: Union[str, Path]) -> Iterator[Tuple[int, str]]:
             yield number, line.removesuffix("\r")
 
 
-def read_stdin_lines(stdin) -> Iterator[Tuple[int, str]]:
+def read_stdin_lines(stdin) -> Iterator[tuple[int, str]]:
     """``read_lines`` over ``stdin``, decoded as UTF-8 in any locale, universal newlines."""
     if isinstance(stdin, io.TextIOWrapper):
         stdin.reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)
@@ -182,14 +182,14 @@ class LabeledCorpus(Record):
             raise ValueError("corpus must contain at least one document")
 
     @property
-    def label_set(self) -> Set[str]:
+    def label_set(self) -> set[str]:
         return {label for label, _ in self.documents}
 
     def __len__(self):
         return len(self.documents)
 
 
-def _labeled_lines(path, sep: str, expected: str) -> Iterator[Tuple[int, str, str]]:
+def _labeled_lines(path, sep: str, expected: str) -> Iterator[tuple[int, str, str]]:
     """Yield ``(line number, label, rest)`` per line, split at the first ``sep``."""
     lineno = 0
     for lineno, line in read_file_lines(path):
@@ -201,13 +201,13 @@ def _labeled_lines(path, sep: str, expected: str) -> Iterator[Tuple[int, str, st
         raise CorpusFormatError(path, 0, "empty corpus")
 
 
-def load_corpus(path: Union[str, Path]) -> LabeledCorpus:
+def load_corpus(path: str | os.PathLike) -> LabeledCorpus:
     """Parse a "label<TAB>text" file, one document per line of ``read_file_lines``."""
     lines = _labeled_lines(path, "\t", "label<TAB>text")
     return LabeledCorpus(tuple((label, text) for _, label, text in lines))
 
 
-def load_row_corpus(path: Union[str, Path], cell=str) -> Tuple[List[list], List[str]]:
+def load_row_corpus(path: str | os.PathLike, cell=str) -> tuple[list[list], list[str]]:
     """Parse "label,v1,v2,..." lines into rows of cells and labels. Each cell
     goes through ``cell``; its ValueError is reported at the line number."""
     rows, labels = [], []
@@ -224,7 +224,7 @@ def load_row_corpus(path: Union[str, Path], cell=str) -> Tuple[List[list], List[
     return rows, labels
 
 
-def load_stop_list(path: Union[str, Path]) -> StopList:
+def load_stop_list(path: str | os.PathLike) -> StopList:
     """Load a dictionary stop list: one word per line, ``#`` comments ignored,
     trailing whitespace trimmed."""
     words = {line.rstrip() for _, line in read_file_lines(path) if line[0] != "#"}
@@ -246,7 +246,7 @@ def ngrams(stream: list, n: int) -> list:
     return list(map(" ".join, zip(*(stream[i:] for i in range(n)))))
 
 
-def _stage(tokens: list, config: PipelineConfig, stops: Optional[StopList]) -> list:
+def _stage(tokens: list, config: PipelineConfig, stops: StopList | None) -> list:
     """Each token after stop-word removal and stemming, in order; "" for a stop
     word or an empty stem (bare "s"), and "" stays "". ``stops`` is required
     when the config enables stop-word removal."""
@@ -270,7 +270,7 @@ def _stream(tokens: Iterable[str], n: int) -> list:
 
 
 def run_pipeline(
-    text: str, config: PipelineConfig, stops: Optional[StopList] = None
+    text: str, config: PipelineConfig, stops: StopList | None = None
 ) -> list:
     """Apply tokenize, stop-word removal, stemming and n-gram expansion.
     ``stops`` is required when the config enables stop-word removal. Stems
@@ -280,8 +280,8 @@ def run_pipeline(
 
 
 def token_streams(
-    texts: Sequence[str], config: PipelineConfig, stops: Optional[StopList] = None
-) -> Tuple[Iterator[list], Optional[StopList]]:
+    texts: Sequence[str], config: PipelineConfig, stops: StopList | None = None
+) -> tuple[Iterator[list], StopList | None]:
     """Each text's stream as ``run_pipeline`` gives it, lazily, and the stop
     list: ``stops``, or for a frequency config given none, the one
     ``build_stop_list`` gives over the texts' tokens. The rules run once per

@@ -11,12 +11,11 @@ that ``build_vocabulary`` and ``vectorize`` share with ``archive.train``.
 import math
 import operator
 from collections import Counter, _count_elements, defaultdict, deque
-from contextlib import suppress
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import chain, count, repeat
-from typing import Dict, Iterable, List, Optional, Tuple
 
-from .record import Record, _set
+from .record import Record
 
 __all__ = [
     "BINARY",
@@ -59,8 +58,10 @@ class Vocabulary(Record):
         # the n ids are 0..n-1 each once when they mark all n bytes of seen; an id
         # past n - 1 or not an int stops the marking, and a negative one wraps
         ids, seen = token_to_id.values(), bytearray(n)
-        with suppress(IndexError, TypeError):
+        try:
             deque(map(operator.setitem, repeat(seen), ids, repeat(1)), 0)
+        except (IndexError, TypeError):
+            pass
         if 0 in seen or min(ids, default=0) < 0:
             raise ValueError(f"token ids must be 0..{n - 1}, each once")
         if not set(map(type, token_to_id)) <= {str}:
@@ -78,13 +79,13 @@ class Vocabulary(Record):
         return token in self.token_to_id
 
     @cached_property
-    def idf_table(self) -> List[float]:
+    def idf_table(self) -> list[float]:
         """ln(total_documents / df) per id, the log of each distinct df taken once."""
         total, df = self.total_documents, self.document_frequency
         logs = {n: math.log(total / n) for n in set(df)}
         return list(map(logs.__getitem__, df))
 
-    def id_to_token(self) -> List[str]:
+    def id_to_token(self) -> list[str]:
         out = [""] * len(self.token_to_id)
         for tok, i in self.token_to_id.items():
             out[i] = tok
@@ -100,16 +101,14 @@ class SparseVector(Record):
 
     __slots__ = _fields = ("entries", "doc_length")
 
-    def __init__(self, entries: Dict[int, float], doc_length: int):
-        _set(self, "entries", entries)  # field by field, faster than Record's
-        _set(self, "doc_length", doc_length)
-        if not all(0 < v < math.inf for v in entries.values()):
+    def _check(self):
+        if not all(0 < v < math.inf for v in self.entries.values()):
             raise ValueError("sparse vector entries must be finite and strictly positive")
-        if doc_length < 0:
+        if self.doc_length < 0:
             raise ValueError("doc_length must be nonnegative")
 
 
-def index_streams(streams: Iterable[list]) -> Tuple[List[List[int]], Vocabulary]:
+def index_streams(streams: Iterable[list]) -> tuple[list[list[int]], Vocabulary]:
     """Each token stream as a list of vocabulary ids, and the vocabulary: ids go
     to tokens in order of first appearance, and each list's distinct ids count
     toward their document frequencies."""
@@ -136,8 +135,8 @@ def idf(vocab: Vocabulary, token_id: int) -> float:
 
 
 def weigh(
-    ids: Iterable[Optional[int]], n_d: int, vocab: Vocabulary, mode: str
-) -> Dict[int, float]:
+    ids: Iterable[int | None], n_d: int, vocab: Vocabulary, mode: str
+) -> dict[int, float]:
     """One document's entries under ``mode``: its vocabulary ids (None for an
     out-of-vocabulary token) in order of first appearance, each with its
     weight. ``n_d`` is the document's token count, out-of-vocabulary tokens

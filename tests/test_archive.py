@@ -314,6 +314,15 @@ def test_archive_refuses_a_weighting_its_variant_does_not_take(data_dir):
         ModelArchive("gaussian", model, weighting=RAW_COUNT)
 
 
+def test_archive_refuses_stop_word_removal_without_a_stop_list(data_dir):
+    # the text step would refuse every document; the archive is refused first
+    labels, texts = zip(*load_corpus(data_dir / "sample_messages.tsv").documents)
+    archive = train("multinomial", labels, texts, 1.0, STEM_TOP5_BIGRAMS)
+    with pytest.raises(ValueError, match="stop_word_mode='frequency' requires a stop list"):
+        ModelArchive(archive.variant, archive.model, archive.pipeline_config, archive.vocab,
+                     archive.weighting)
+
+
 def test_train_resolves_the_default_weighting(tmp_path, data_dir):
     labels, texts = _training_data("multinomial", data_dir, None)
     save_archive(train("multinomial", labels, texts), tmp_path / "default.json")

@@ -766,7 +766,26 @@ class TestPredict:
                                      for key in ("stemming", "stop_word_mode")],
          "error: archive is missing field 'stemming'\n"),
         ("multinomial", lambda doc: doc["pipeline"].update(colour="red"),
-         "error: malformed archive: "),
+         "error: malformed archive: pipeline has unknown field 'colour'\n"),
+        # every other section is read whole too (of two unknown keys, the first
+        # in sorted order is named, whatever the hash seed); null is a section
+        # left out, and any other value that is no JSON object is malformed
+        ("multinomial", lambda doc: doc.update(zz=1, colour="red"),
+         "error: malformed archive: archive has unknown field 'colour'\n"),
+        ("multinomial", lambda doc: doc["priors"].update(colour="red"),
+         "error: malformed archive: priors has unknown field 'colour'\n"),
+        ("multinomial", lambda doc: doc["parameters"].update(alhpa=5.0),
+         "error: malformed archive: parameters has unknown field 'alhpa'\n"),
+        ("multinomial", lambda doc: doc.update(
+            stop_words={"origin": "dictionary", "words": ["the"], "colour": "red"}),
+         "error: malformed archive: stop_words has unknown field 'colour'\n"),
+        ("multinomial", lambda doc: doc["vocabulary"].update(colour="red"),
+         "error: malformed archive: vocabulary has unknown field 'colour'\n"),
+        ("multinomial", lambda doc: doc.update(vocabulary=[]),
+         "error: malformed archive: vocabulary must be a JSON object\n"),
+        # the version is read first, so a later format is named as such
+        ("multinomial", lambda doc: doc.update(format_version=2, colour="red"),
+         "error: unsupported format_version 2; this build reads version 1\n"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
             "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
@@ -790,7 +809,9 @@ class TestPredict:
             "tf_sums-key-suffix", "tf_sums-key-float", "mean-401-digits",
             "vocab_size-plus-one", "stop-words-string", "stop-words-object",
             "tokens-string", "origin-list", "origin-int", "tokens-repeated",
-            "pipeline-key-missing", "pipeline-key-unknown"])
+            "pipeline-key-missing", "pipeline-key-unknown", "archive-key-unknown",
+            "priors-key-unknown", "parameters-key-misspelt", "stop-words-key-unknown",
+            "vocabulary-key-unknown", "vocabulary-list", "future-version-key-unknown"])
     def test_malformed_archive(
         self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
     ):
@@ -805,6 +826,22 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_stop_word_removal_without_a_stop_list(self, tmp_path, corpus_path, capsys):
+        # every document would fail in the text step, so the archive fails at load
+        model_path = _train(tmp_path, corpus_path, "--stem", "on", "--stop-words", "top:5")
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        doc["stop_words"] = None
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["predict", "--model", str(model_path), "free prize"],
+                     ["inspect", "--model", str(model_path)]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: stop_word_mode='frequency' requires a stop list\n"
+            )
 
     def test_one_field_corruptions_fail_cleanly_or_round_trip(
         self, tmp_path, corpus_path, toy_csv_path, capsys

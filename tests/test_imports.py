@@ -18,9 +18,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # hashlib, and porter spells out its alphabet rather than import string's
 NOT_RUN = ("nbtext.evaluation", "hashlib", "_hashlib", "string")
 
-# runs the CLI in a fresh interpreter and prints, as its last line, which of
-# the watched modules (NOT_RUN unless a test names others) the command added to
-# sys.modules; modules that site hooks load before nbtext is imported do not count
+# runs the CLI in a fresh interpreter (started with the given flags) and prints,
+# as its last line, which of the watched modules (NOT_RUN unless a test names
+# others) the command added to sys.modules; modules that site hooks load before
+# nbtext is imported do not count
 PROBE = """
 import json, sys
 before = set(sys.modules)
@@ -31,11 +32,11 @@ print(json.dumps([code, sorted(added & set(json.loads(sys.argv[1])))]))
 """
 
 
-def _added_modules(*argv, stdin="", watched=NOT_RUN):
+def _added_modules(*argv, stdin="", watched=NOT_RUN, flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     res = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(watched), *argv],
+        [sys.executable, *flags, "-c", PROBE, json.dumps(watched), *argv],
         input=stdin, capture_output=True, text=True, env=env, timeout=60,
     )
     code, added = json.loads(res.stdout.splitlines()[-1])
@@ -84,6 +85,18 @@ def test_train_and_predict_load_no_dataclasses(tmp_path, corpus, model):
     assert _added_modules(*argv, watched=watched) == []
     assert _added_modules("predict", "--model", model, "--probs", "free prize",
                           watched=watched) == []
+
+
+def test_train_and_predict_load_no_typing_pathlib_or_contextlib(tmp_path, corpus):
+    # annotations are builtin generics and collections.abc names, and paths are
+    # str or os.PathLike; -S runs no site hook that would load these first
+    watched = ["typing", "pathlib", "contextlib"]
+    model = str(tmp_path / "model.json")
+    argv = ["train", "--input", corpus, "--model", model,
+            "--variant", "multinomial", "--stem", "on", "--stop-words", "top:5"]
+    assert _added_modules(*argv, watched=watched, flags=["-S"]) == []
+    assert _added_modules("predict", "--model", model, "--probs", "free prize",
+                          watched=watched, flags=["-S"]) == []
 
 
 def test_train_with_a_frequency_stop_list_loads_heapq(tmp_path, corpus):
