@@ -18,8 +18,8 @@ that holds the same inputs under the same relative paths: ``tests/data/sample_me
 ``TEXT_EDGES`` documents, and small CSVs. The matrix trains, predicts
 (``--probs`` on an argument, and over stdin), inspects (``--top-k 3
 --dump-vocab``) and evaluates (``--report-out``) with nine text configurations
-and both row variants, then runs usage and input errors and predicts from
-malformed archives.
+and both row variants, then runs usage and input errors, and predicts from
+and inspects malformed archives.
 
 For every case the stdout, stderr, exit code and each file the case wrote are
 compared. Each case that differs is printed. The exit code is 1 when a case
@@ -190,7 +190,19 @@ def _repeat_first_token(doc: dict) -> None:
     tokens[1] = tokens[0]
 
 
+def _repeat_first_token_df_short(doc: dict) -> None:
+    _repeat_first_token(doc)
+    doc["vocabulary"]["document_frequency"].pop()
+
+
+def _carry_text_sections(doc: dict) -> None:
+    doc["pipeline"] = {"lowercase": True, "strip_punctuation": True, "stop_word_mode": "none",
+                       "frequency_top_n": None, "stemming": False, "ngram_size": 1}
+    doc["vocabulary"] = {"tokens": ["x"], "document_frequency": [1], "total_documents": 4}
+
+
 # name -> (source archive, edit); each edited archive is then given to predict
+# and to inspect
 MALFORMED = {
     "total-documents": ("sample-multinomial-stem-top5-tfidf-bigrams", _edit_json(
         lambda doc: doc["vocabulary"].update(total_documents=600))),
@@ -245,6 +257,8 @@ MALFORMED = {
         lambda doc: doc.update(format_version=2, colour="red"))),
     "stop-words-null": ("sample-multinomial-stem-top5-tfidf-bigrams", _edit_json(
         lambda doc: doc.update(stop_words=None))),
+    "tokens-repeated-df-short": ("sample-multinomial", _edit_json(_repeat_first_token_df_short)),
+    "row-pipeline-vocabulary": ("numeric-gaussian", _edit_json(_carry_text_sections)),
 }
 
 ERRORS = {
@@ -308,6 +322,7 @@ def matrix() -> List[Case]:
         cases += [
             Case(f"edit/{name}", [], edit=(f"models/{source}.json", target, edit)),
             Case(f"malformed/{name}", ["predict", "--model", target, "free prize"]),
+            Case(f"malformed/{name}/inspect", ["inspect", "--model", target]),
         ]
     return cases
 

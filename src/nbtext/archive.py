@@ -111,9 +111,10 @@ class ArchiveError(Exception):
 class ModelArchive(Record):
     """A trained model plus everything needed to classify new input:
     pipeline config, stop list, vocabulary, and weighting mode (text
-    variants only; row variants carry none of these). The variant must take
-    the weighting, the vocabulary must count the priors' documents, and a
-    pipeline that removes stop words needs its stop list."""
+    variants only; a row variant's archive that carries any of these is
+    refused). The variant must take the weighting, the vocabulary must count
+    the priors' documents, and a pipeline that removes stop words needs its
+    stop list."""
 
     __slots__ = _fields = ("variant", "model", "pipeline_config", "vocab", "weighting", "stops")
     _defaults = {"pipeline_config": None, "vocab": None, "weighting": None, "stops": None}
@@ -140,6 +141,10 @@ class ModelArchive(Record):
             mode = self.pipeline_config.stop_word_mode
             if mode != "none" and self.stops is None:  # as the text step refuses it
                 raise ValueError(f"stop_word_mode={mode!r} requires a stop list")
+        elif any(v is not None for v in (self.pipeline_config, self.vocab, self.stops)):
+            raise ValueError(
+                f"{self.variant} archives carry no pipeline config, vocabulary or stop list"
+            )
 
     def encode(self, x):
         """One raw input as the model scores it: text vectorized as at training
@@ -299,11 +304,7 @@ def save_archive(archive: ModelArchive, path: str | os.PathLike) -> None:
         }
         if archive.stops is not None
         else None,
-        "vocabulary": {
-            "tokens": archive.vocab.id_to_token(),
-            "document_frequency": archive.vocab.document_frequency,
-            "total_documents": archive.vocab.total_documents,
-        }
+        "vocabulary": dict(zip(Vocabulary._fields, archive.vocab._values()))
         if archive.vocab is not None
         else None,
     }
@@ -344,12 +345,7 @@ def load_archive(path: str | os.PathLike) -> ModelArchive:
                 raise ValueError("stop_words words must be a list")
             stops = StopList(frozenset(words), origin)
         if vocab is not None:
-            tokens, df, total = _section(
-                vocab, "vocabulary", ("tokens", "document_frequency", "total_documents")
-            )
-            if type(tokens) is not list:  # zip would take a str's characters
-                raise ValueError("vocabulary tokens must be a list")
-            vocab = Vocabulary(dict(zip(tokens, range(len(tokens)))), df, total)
+            vocab = Vocabulary(*_section(vocab, "vocabulary", Vocabulary._fields))
         archive = ModelArchive(variant, model, pipeline, vocab, weighting, stops)
     except KeyError as exc:
         raise ArchiveError(f"archive is missing field {exc}") from exc

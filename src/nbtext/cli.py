@@ -237,7 +237,7 @@ def cmd_evaluate(args) -> int:
 
 def _top_tokens(archive: ModelArchive, k: int) -> list[str]:
     model = archive.model
-    tokens = archive.vocab.id_to_token()
+    tokens = archive.vocab.tokens
     lines = []
     for label in model.priors.labels:
         scored = [(model.conditional(label, i), tok) for i, tok in enumerate(tokens)]

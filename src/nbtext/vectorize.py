@@ -9,11 +9,10 @@ that ``build_vocabulary`` and ``vectorize`` share with ``archive.train``.
 """
 
 import math
-import operator
-from collections import Counter, _count_elements, defaultdict, deque
+from collections import Counter, _count_elements, defaultdict
 from collections.abc import Iterable
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import chain, count
 
 from .record import Record
 
@@ -41,30 +40,26 @@ WEIGHTING_MODES = (BINARY, RAW_COUNT, NORMALIZED_TF, TFIDF)
 
 
 class Vocabulary(Record):
-    """Token/id bijection with per-token document frequencies.
+    """Tokens in id order with per-token document frequencies.
 
-    Ids are dense, 0-based, assigned in order of first appearance while
-    scanning the training corpus document by document.
+    A token's id is its position in ``tokens``: dense, 0-based, assigned in
+    order of first appearance while scanning the training corpus document by
+    document. ``token_to_id``, the token -> id map, is built with the record.
     """
 
-    _fields = ("token_to_id", "document_frequency", "total_documents")
-    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached idf_table
+    _fields = ("tokens", "document_frequency", "total_documents")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds token_to_id and the cached idf_table
 
     def _check(self):
-        token_to_id, df, total = self._values()
-        n = len(token_to_id)
-        if len(df) != n:
+        tokens, df, total = self._values()
+        if type(tokens) is not list:  # zip would take a str's characters
+            raise ValueError("vocabulary tokens must be a list")
+        self.__dict__["token_to_id"] = ids = dict(zip(tokens, range(len(tokens))))
+        if len(df) != len(ids):
             raise ValueError("document_frequency length must equal vocabulary size")
-        # the n ids are 0..n-1 each once when they mark all n bytes of seen; an id
-        # past n - 1 or not an int stops the marking, and a negative one wraps
-        ids, seen = token_to_id.values(), bytearray(n)
-        try:
-            deque(map(operator.setitem, repeat(seen), ids, repeat(1)), 0)
-        except (IndexError, TypeError):
-            pass
-        if 0 in seen or min(ids, default=0) < 0:
-            raise ValueError(f"token ids must be 0..{n - 1}, each once")
-        if not set(map(type, token_to_id)) <= {str}:
+        if len(ids) != len(tokens):
+            raise ValueError("vocabulary tokens must be distinct")
+        if not set(map(type, tokens)) <= {str}:
             raise ValueError("vocabulary tokens must be strings")
         if type(total) is not int or not set(map(type, df)) <= {int}:
             raise ValueError("document frequencies and total_documents must be ints")
@@ -73,7 +68,7 @@ class Vocabulary(Record):
             raise ValueError(f"document frequencies must lie between 1 and {total}")
 
     def __len__(self):
-        return len(self.token_to_id)
+        return len(self.tokens)
 
     def __contains__(self, token):
         return token in self.token_to_id
@@ -84,12 +79,6 @@ class Vocabulary(Record):
         total, df = self.total_documents, self.document_frequency
         logs = {n: math.log(total / n) for n in set(df)}
         return list(map(logs.__getitem__, df))
-
-    def id_to_token(self) -> list[str]:
-        out = [""] * len(self.token_to_id)
-        for tok, i in self.token_to_id.items():
-            out[i] = tok
-        return out
 
 
 class SparseVector(Record):
@@ -118,7 +107,11 @@ def index_streams(streams: Iterable[list]) -> tuple[list[list[int]], Vocabulary]
         raise ValueError("corpus must be non-empty")
     df = Counter(chain.from_iterable(map(set, id_lists)))
     df = list(map(df.__getitem__, range(len(ids))))
-    return id_lists, Vocabulary(dict(ids), df, len(id_lists))
+    vocab = Vocabulary(list(ids), df, len(id_lists))
+    # the map's ids as the int objects that the id lists, and so the model's
+    # keys, hold: the vocabulary keeps no second int per token
+    vocab.token_to_id.update(ids)
+    return id_lists, vocab
 
 
 def build_vocabulary(corpus: Iterable[list]) -> Vocabulary:
@@ -168,8 +161,5 @@ def vectorize(stream: list, vocab: Vocabulary, mode: str) -> SparseVector:
 
 def dump_vocabulary(vocab: Vocabulary) -> str:
     """Render "id<TAB>token<TAB>document_frequency" lines, ids ascending."""
-    tokens = vocab.id_to_token()
-    lines = [
-        f"{i}\t{tokens[i]}\t{vocab.document_frequency[i]}" for i in range(len(tokens))
-    ]
-    return "\n".join(lines)
+    rows = enumerate(zip(vocab.tokens, vocab.document_frequency))
+    return "\n".join(f"{i}\t{token}\t{df}" for i, (token, df) in rows)

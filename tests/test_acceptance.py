@@ -120,7 +120,7 @@ def test_criterion_04_bag_of_words_table():
 
     header = ["each", "state", "has", "its", "own",
               "laws", "every", "country", "culture"]
-    assert vocab.id_to_token() == header
+    assert vocab.tokens == header
 
     def dense(stream):
         vec = vectorize(stream, vocab, RAW_COUNT)

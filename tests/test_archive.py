@@ -297,6 +297,18 @@ def test_train_rejects_unknown_variant(toy_shapes):
         train("quantum", labels, samples)
 
 
+@pytest.mark.parametrize("section", ["pipeline_config", "vocab", "stops"])
+def test_row_archive_refuses_a_pipeline_vocabulary_or_stop_list(toy_shapes, section):
+    carried = {"pipeline_config": PipelineConfig(), "vocab": build_vocabulary([["x"]]),
+               "stops": StopList()}
+    models = {"categorical": fit_categorical(*toy_shapes, alpha=0.0),
+              "gaussian": fit_gaussian([[0.0], [1.0], [5.0], [6.0]], ["a", "a", "b", "b"])}
+    for variant, model in models.items():
+        with pytest.raises(ValueError, match=f"^{variant} archives carry no pipeline "
+                                             "config, vocabulary or stop list$"):
+            ModelArchive(variant, model, **{section: carried[section]})
+
+
 def test_model_must_match_variant(toy_shapes):
     model = fit_categorical(*toy_shapes, alpha=0.0)
     with pytest.raises(ValueError, match="GaussianModel"):
@@ -651,7 +663,7 @@ def test_train_stems_each_distinct_word_once(monkeypatch):
     stops = StopList(frozenset({"the", "and"}))
     archive = train("multinomial", ["a", "b", "a", "b"], texts, 1.0, config, None, stops)
     assert sorted(calls) == ["birds", "cats", "dogs", "ran"]
-    assert archive.vocab.id_to_token() == ["cat", "ran", "dog", "bird"]
+    assert archive.vocab.tokens == ["cat", "ran", "dog", "bird"]
 
 
 @pytest.mark.parametrize("variant", ["categorical", "multinomial"])

@@ -761,6 +761,19 @@ class TestPredict:
         ("multinomial", lambda doc: doc["vocabulary"]["tokens"].__setitem__(
             1, doc["vocabulary"]["tokens"][0]),
          "error: document_frequency length must equal vocabulary size\n"),
+        # a repeated token with one count per distinct token
+        ("multinomial", lambda doc: [doc["vocabulary"]["tokens"].__setitem__(
+            1, doc["vocabulary"]["tokens"][0]), doc["vocabulary"]["document_frequency"].pop()],
+         "error: vocabulary tokens must be distinct\n"),
+        # a row variant's archive holds null where a text archive holds its
+        # pipeline, vocabulary and stop list
+        ("gaussian", lambda doc: doc.update(
+            pipeline=dict(zip(PipelineConfig._fields, PipelineConfig()._values())),
+            vocabulary={"tokens": ["x"], "document_frequency": [1], "total_documents": 4}),
+         "error: gaussian archives carry no pipeline config, vocabulary or stop list\n"),
+        ("categorical", lambda doc: doc.update(
+            stop_words={"origin": "dictionary", "words": ["the"]}),
+         "error: categorical archives carry no pipeline config, vocabulary or stop list\n"),
         # pipeline keys: save_archive writes all six, so none falls to a default
         ("multinomial", lambda doc: [doc["pipeline"].pop(key)
                                      for key in ("stemming", "stop_word_mode")],
@@ -809,6 +822,7 @@ class TestPredict:
             "tf_sums-key-suffix", "tf_sums-key-float", "mean-401-digits",
             "vocab_size-plus-one", "stop-words-string", "stop-words-object",
             "tokens-string", "origin-list", "origin-int", "tokens-repeated",
+            "tokens-repeated-df-short", "row-pipeline-vocabulary", "row-stop-words",
             "pipeline-key-missing", "pipeline-key-unknown", "archive-key-unknown",
             "priors-key-unknown", "parameters-key-misspelt", "stop-words-key-unknown",
             "vocabulary-key-unknown", "vocabulary-list", "future-version-key-unknown"])

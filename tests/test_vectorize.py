@@ -50,7 +50,7 @@ class TestBuildVocabulary:
 
     def test_first_appearance_ids(self, two_doc_vocab):
         ordered = D1 + ["every", "country", "culture"]
-        assert two_doc_vocab.id_to_token() == ordered
+        assert two_doc_vocab.tokens == ordered
 
     def test_repeats_in_one_document_count_once(self):
         vocab = build_vocabulary([["x", "x", "x"]])
@@ -69,11 +69,11 @@ class TestBuildVocabulary:
 
     def test_df_bounds_validated(self):
         with pytest.raises(ValueError):
-            Vocabulary({"a": 0}, [5], 2)
+            Vocabulary(["a"], [5], 2)
         with pytest.raises(ValueError):
-            Vocabulary({"a": 0}, [0], 2)
-        with pytest.raises(ValueError, match="each once"):
-            Vocabulary({"a": 0, "b": 0}, [1, 1], 1)
+            Vocabulary(["a"], [0], 2)
+        with pytest.raises(ValueError, match="distinct"):
+            Vocabulary(["a", "a"], [1], 1)
 
     @settings(max_examples=200, deadline=None)
     @given(token_streams)
@@ -86,28 +86,36 @@ class TestBuildVocabulary:
 
 
 class TestVocabularyIds:
-    def test_permuted_ids_are_accepted(self):
-        vocab = Vocabulary({"b": 1, "a": 0}, [1, 1], 1)
-        assert vocab.id_to_token() == ["a", "b"]
-
-    @pytest.mark.parametrize("token_to_id", [
-        {"a": 0, "b": 2}, {"a": 1, "b": 2}, {"a": 1, "b": 1}, {"a": 0, "b": 0},
-        {"a": -1, "b": 0}, {"a": -2, "b": 1}, {"a": 0, "b": 10**400},
-    ], ids=["gap", "shifted", "repeat", "repeat-zero", "negative", "negative-wraps",
-            "past-any-index"])
-    def test_a_gap_or_a_repeat_is_refused(self, token_to_id):
-        with pytest.raises(ValueError, match=r"^token ids must be 0\.\.1, each once$"):
-            Vocabulary(token_to_id, [1, 1], 1)
+    """A token's id is its position in ``tokens``."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(-4, 6), max_size=6))
-    def test_ids_are_accepted_exactly_when_they_are_0_to_n_minus_1(self, ids):
-        token_to_id = {f"t{k}": i for k, i in enumerate(ids)}
-        if sorted(ids) == list(range(len(ids))):
-            assert Vocabulary(token_to_id, [1] * len(ids), 1).token_to_id == token_to_id
-        else:
-            with pytest.raises(ValueError, match="each once"):
-                Vocabulary(token_to_id, [1] * len(ids), 1)
+    @given(st.lists(st.one_of(st.sampled_from(["", "a", "b", "c"]), st.integers(0, 2),
+                              st.none()), max_size=6))
+    def test_tokens_are_accepted_exactly_when_distinct_strings(self, tokens):
+        n, distinct = len(tokens), len(set(tokens)) == len(tokens)
+        if distinct and all(type(tok) is str for tok in tokens):
+            vocab = Vocabulary(tokens, [1] * n, 1)
+            assert [vocab.token_to_id[tok] for tok in tokens] == list(range(n))
+            assert list(vocab.token_to_id) == tokens and len(vocab) == n
+        else:  # a repeat leaves fewer ids than counts (see the next test)
+            with pytest.raises(ValueError, match="strings$" if distinct else "^document_freq"):
+                Vocabulary(tokens, [1] * n, 1)
+
+    # A gap, shift or out-of-range id cannot be given: ids are positions. A
+    # repeat is a repeated token; the id map holds one id per distinct token,
+    # and document frequencies as many as the tokens are checked against it first.
+    @pytest.mark.parametrize("df, message", [
+        ([1, 1, 1], "document_frequency length must equal vocabulary size"),
+        ([1, 1], "vocabulary tokens must be distinct"),
+    ], ids=["repeat", "repeat-zero"])
+    def test_a_gap_or_a_repeat_is_refused(self, df, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Vocabulary(["a", "b", "a"], df, 1)
+
+    @pytest.mark.parametrize("tokens", ["ab", ("a", "b"), {"a": 0, "b": 1}])
+    def test_tokens_must_be_a_list(self, tokens):
+        with pytest.raises(ValueError, match="^vocabulary tokens must be a list$"):
+            Vocabulary(tokens, [1, 1], 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -116,7 +124,7 @@ class TestVocabularyIds:
 def test_weigh_matches_a_counter_reference(ids, df):
     """Every mode's entries, their order, weights and weight types are what
     counting with a Counter gives; None stands for an out-of-vocabulary token."""
-    vocab = Vocabulary({tok: i for i, tok in enumerate("abcdef")}, df, 3)
+    vocab = Vocabulary(list("abcdef"), df, 3)
     n_d = len(ids)
     counts = Counter(ids)
     counts.pop(None, None)
@@ -264,7 +272,7 @@ class TestIdf:
         assert idf(vocab, 0) == pytest.approx(math.log(2), abs=1e-15)
 
     def test_large_ratio(self):
-        vocab = Vocabulary({"t": 0}, [10], 1000)
+        vocab = Vocabulary(["t"], [10], 1000)
         assert idf(vocab, 0) == pytest.approx(math.log(100), abs=1e-12)
 
     def test_unknown_id_rejected(self):
@@ -276,7 +284,7 @@ class TestIdf:
     @given(st.integers(1, 1000), st.integers(1, 1000), st.integers(1, 1000))
     def test_antitone_and_nonnegative(self, df1, df2, extra):
         total = max(df1, df2) + extra
-        vocab = Vocabulary({"a": 0, "b": 1}, [min(df1, df2), max(df1, df2)], total)
+        vocab = Vocabulary(["a", "b"], [min(df1, df2), max(df1, df2)], total)
         assert idf(vocab, 0) >= idf(vocab, 1) >= 0.0
         if df1 != df2:
             assert idf(vocab, 0) > idf(vocab, 1)
