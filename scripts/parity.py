@@ -259,6 +259,10 @@ MALFORMED = {
         lambda doc: doc.update(stop_words=None))),
     "tokens-repeated-df-short": ("sample-multinomial", _edit_json(_repeat_first_token_df_short)),
     "row-pipeline-vocabulary": ("numeric-gaussian", _edit_json(_carry_text_sections)),
+    "tf-sums-label-missing": ("sample-multinomial", _edit_json(
+        lambda doc: doc["parameters"]["tf_sums"].pop("spam"))),
+    "means-label-missing": ("numeric-gaussian", _edit_json(
+        lambda doc: doc["parameters"]["means"].pop("b"))),
 }
 
 ERRORS = {

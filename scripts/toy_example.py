@@ -45,7 +45,7 @@ def main() -> None:
     print(f"decision: {report.predicted}")
 
     flat = CategoricalModel(
-        ClassPriors.from_probabilities({"+": 0.5, "-": 0.5}),
+        ClassPriors({"+": 0.5, "-": 0.5}),
         model.value_counts, model.class_counts, model.alpha,
     )
     print(f"decision under uniform priors: {posterior_scores(flat, QUERY).predicted}")

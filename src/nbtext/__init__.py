@@ -26,7 +26,7 @@ _SUBMODULES = {
         "BernoulliModel", "CategoricalModel", "ClassPriors", "GaussianModel",
         "MultinomialModel", "PosteriorReport", "classify", "fit_bernoulli",
         "fit_categorical", "fit_gaussian", "fit_multinomial", "fit_priors",
-        "log_likelihood", "normalized_posteriors", "posterior_scores",
+        "log_likelihood", "posterior_scores",
     ),
     "pipeline": (
         "CorpusFormatError", "LabeledCorpus", "PipelineConfig", "StopList",
@@ -35,7 +35,7 @@ _SUBMODULES = {
     "porter": ("porter_stem",),
     "vectorize": (
         "BINARY", "NORMALIZED_TF", "RAW_COUNT", "TFIDF", "SparseVector",
-        "Vocabulary", "build_vocabulary", "idf", "vectorize",
+        "Vocabulary", "build_vocabulary", "vectorize",
     ),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}

@@ -198,9 +198,7 @@ def _priors_from_payload(payload: dict) -> ClassPriors:
     if len(set(labels)) != len(labels) or len(counts) != len(labels):
         raise ValueError("priors need one count per distinct label")
     priors = ClassPriors.from_counts(dict(zip(labels, counts)))
-    if type(total) is not int or total != priors.total:
-        raise ValueError(f"priors total {total!r} is not the sum of the counts")
-    return priors
+    return ClassPriors(priors.probabilities, priors.counts, total)  # checks the total
 
 
 def _decode_tf_sums(tf_sums: dict) -> dict:
@@ -238,12 +236,6 @@ def _model_from_payload(
     for name, value in zip(names, _section(payload, "parameters", names)):
         decode = _FIELD_DECODERS.get(name)
         params[name] = decode(value) if decode else value
-    # every dict parameter, and each value_counts position, is keyed by label
-    labels = set(priors.labels)
-    for name, value in params.items():
-        for table in value if isinstance(value, tuple) else (value,):
-            if isinstance(table, dict) and set(table) != labels:
-                raise ValueError(f"{name} has labels {sorted(table)}, not {sorted(labels)}")
     return model_class(priors, **params)
 
 

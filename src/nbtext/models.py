@@ -35,7 +35,6 @@ __all__ = [
     "gaussian_log_density",
     "log_likelihood",
     "posterior_scores",
-    "normalized_posteriors",
     "classify",
 ]
 
@@ -65,6 +64,16 @@ def check_alpha(alpha, totals=(), size: int = 0) -> None:
         raise ValueError(f"alpha {alpha!r} is too large: a smoothed denominator overflows")
 
 
+def _check_labels(record: Record, labels) -> None:
+    """Every dict field of ``record``, and each dict in a tuple field, is keyed
+    by ``labels``: ValueError naming the first field that is not."""
+    for name in record._fields:
+        value = getattr(record, name)
+        for table in value if isinstance(value, tuple) else (value,):
+            if isinstance(table, dict) and table.keys() != labels:
+                raise ValueError(f"{name} has labels {sorted(table)}, not {sorted(labels)}")
+
+
 class ClassPriors(Record):
     """Per-class prior probabilities, with sample counts kept alongside
     when the priors were estimated from data."""
@@ -83,11 +92,17 @@ class ClassPriors(Record):
             raise ValueError("priors must sum to 1")
         if (self.counts is None) != (self.total is None):
             raise ValueError("counts and total must be supplied together")
-
-    @classmethod
-    def from_probabilities(cls, probabilities: dict[str, float]) -> "ClassPriors":
-        """Build priors from explicit probabilities (no backing counts)."""
-        return cls(dict(probabilities))
+        # counts are those from_counts takes, the rest exactly what it computes
+        if self.counts is not None:
+            _check_labels(self, self.probabilities.keys())
+            if not set(map(type, self.counts.values())) <= {int}:
+                raise ValueError("class sample counts must be ints")
+            if min(self.counts.values()) < 1:
+                raise ValueError("class sample counts must be >= 1")
+            if type(self.total) is not int or self.total != sum(self.counts.values()):
+                raise ValueError(f"priors total {self.total!r} is not the sum of the counts")
+            if any(p != self.counts[c] / self.total for c, p in self.probabilities.items()):
+                raise ValueError("each prior must be its class count over the total")
 
     @classmethod
     def from_counts(cls, counts: dict[str, int]) -> "ClassPriors":
@@ -138,6 +153,7 @@ class CategoricalModel(Record):
     __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached domains
 
     def _check(self):
+        _check_labels(self, self.priors.probabilities.keys())
         for label, n in self.class_counts.items():
             if type(n) is not int or n < 0:
                 raise ValueError(f"class_counts[{label!r}] must be an int >= 0")
@@ -234,6 +250,7 @@ class BernoulliModel(Record):
     __slots__ = (*_fields, "__dict__")  # __dict__ holds _distinct_counts and linear_form
 
     def _check(self):
+        _check_labels(self, self.priors.probabilities.keys())
         # each row's distinct counts, found once for the range check and linear_form
         self.__dict__["_distinct_counts"] = distinct = {}
         for label, row in self.doc_counts.items():
@@ -250,13 +267,11 @@ class BernoulliModel(Record):
         if self.priors.counts is not None and self.class_doc_counts != self.priors.counts:
             raise ValueError("class_doc_counts must be the class sizes the priors count")
 
-    def estimate(self, label: str, token_id: int) -> float:
+    def conditional(self, label: str, token_id: int) -> float:
         return (self.doc_counts[label][token_id] + 1) / (
             self.class_doc_counts[label] + 2
         )
 
-    # the name MultinomialModel uses for its per-token estimate
-    conditional = estimate
     log_likelihood = _text_log_likelihood
 
     @cached_property
@@ -311,6 +326,7 @@ class MultinomialModel(Record):
     __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached linear_form
 
     def _check(self):
+        _check_labels(self, self.priors.probabilities.keys())
         if type(self.vocab_size) is not int or self.vocab_size < 0:
             raise ValueError("vocab_size must be an int >= 0")
         for label, sums in self.tf_sums.items():
@@ -399,6 +415,7 @@ class GaussianModel(Record):
     __slots__ = _fields = ("priors", "means", "stds", "n_features")
 
     def _check(self):
+        _check_labels(self, self.priors.probabilities.keys())
         if type(self.n_features) is not int:
             raise ValueError("n_features must be an int")
         rows = [*self.means.values(), *self.stds.values()]
@@ -497,11 +514,6 @@ def posterior_scores(model: NaiveBayesModel, x) -> PosteriorReport:
         key=lambda label: (-scores[label], -priors.probabilities[label], label),
     )
     return PosteriorReport(scores, posteriors, predicted, degenerate)
-
-
-def normalized_posteriors(model: NaiveBayesModel, x) -> dict[str, float]:
-    """Posterior probabilities per class, summing to 1."""
-    return posterior_scores(model, x).posteriors
 
 
 def classify(model: NaiveBayesModel, x) -> str:

@@ -29,7 +29,6 @@ __all__ = [
     "LabeledCorpus",
     "load_corpus",
     "load_row_corpus",
-    "remove_stop_words",
     "ngrams",
     "run_pipeline",
     "token_streams",
@@ -181,10 +180,6 @@ class LabeledCorpus(Record):
         if not self.documents:
             raise ValueError("corpus must contain at least one document")
 
-    @property
-    def label_set(self) -> set[str]:
-        return {label for label, _ in self.documents}
-
     def __len__(self):
         return len(self.documents)
 
@@ -229,10 +224,6 @@ def load_stop_list(path: str | os.PathLike) -> StopList:
     trailing whitespace trimmed."""
     words = {line.rstrip() for _, line in read_file_lines(path) if line[0] != "#"}
     return StopList(frozenset(words), origin="dictionary")
-
-
-def remove_stop_words(stream: list, stops: StopList) -> list:
-    return [tok for tok in stream if tok not in stops.words]
 
 
 def ngrams(stream: list, n: int) -> list:

@@ -28,7 +28,6 @@ __all__ = [
     "build_vocabulary",
     "weigh",
     "vectorize",
-    "idf",
     "dump_vocabulary",
 ]
 
@@ -69,9 +68,6 @@ class Vocabulary(Record):
 
     def __len__(self):
         return len(self.tokens)
-
-    def __contains__(self, token):
-        return token in self.token_to_id
 
     @cached_property
     def idf_table(self) -> list[float]:
@@ -118,13 +114,6 @@ def build_vocabulary(corpus: Iterable[list]) -> Vocabulary:
     """Scan token streams, assigning ids by first appearance and counting
     per-token document frequency (documents, not occurrences)."""
     return index_streams(corpus)[1]
-
-
-def idf(vocab: Vocabulary, token_id: int) -> float:
-    """Natural-log inverse document frequency, ln(n_docs / df)."""
-    if not 0 <= token_id < len(vocab.document_frequency):
-        raise ValueError(f"unknown token id: {token_id}")
-    return vocab.idf_table[token_id]
 
 
 def weigh(

@@ -27,7 +27,6 @@ from nbtext.models import (
     fit_multinomial,
     gaussian_log_density,
     log_likelihood,
-    normalized_posteriors,
     posterior_scores,
 )
 from nbtext.pipeline import PipelineConfig, build_stop_list, run_pipeline, tokenize
@@ -55,7 +54,7 @@ QUERY = ("blue", "square")
 
 def _force_priors(model, probabilities):
     rest = (getattr(model, name) for name in model._fields[1:])
-    return type(model)(ClassPriors.from_probabilities(probabilities), *rest)
+    return type(model)(ClassPriors(probabilities), *rest)
 
 
 def test_criterion_01_worked_example_golden_values(toy_shapes):
@@ -189,7 +188,7 @@ def test_criterion_07_presence_estimates_inside_unit_interval():
         model = fit_bernoulli(vectors, labels, vocab)
         for label in model.priors.labels:
             for token_id in range(len(vocab)):
-                p = model.estimate(label, token_id)
+                p = model.conditional(label, token_id)
                 assert 0.0 < p < 1.0
 
 
@@ -299,7 +298,7 @@ def test_criterion_10_matches_direct_probability_evaluation():
             "zz" if rng.random() < 0.1 else rng.choice(domains[i])
             for i in range(n_positions)
         ]
-        got = normalized_posteriors(model, query)
+        got = posterior_scores(model, query).posteriors
         want = categorical_posteriors_oracle(samples, labels, alpha, query)
         assert set(got) == set(want)
         for label in want:

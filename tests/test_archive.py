@@ -23,8 +23,11 @@ from nbtext.archive import (
 )
 from nbtext.evaluation import load_corpus
 from nbtext.models import (
+    BernoulliModel,
     CategoricalModel,
     ClassPriors,
+    GaussianModel,
+    MultinomialModel,
     fit_bernoulli,
     fit_categorical,
     fit_gaussian,
@@ -38,7 +41,14 @@ from nbtext.pipeline import (
     run_pipeline,
     tokenize,
 )
-from nbtext.vectorize import BINARY, RAW_COUNT, TFIDF, build_vocabulary, vectorize
+from nbtext.vectorize import (
+    BINARY,
+    RAW_COUNT,
+    TFIDF,
+    Vocabulary,
+    build_vocabulary,
+    vectorize,
+)
 
 
 def _text_archive(data_dir, variant, weighting, config=None, stops=None):
@@ -193,7 +203,7 @@ def test_unknown_variant_rejected(tmp_path, toy_shapes):
 def test_forced_priors_cannot_be_archived(tmp_path, toy_shapes):
     model = fit_categorical(*toy_shapes, alpha=0.0)
     forced = CategoricalModel(
-        ClassPriors.from_probabilities({"+": 0.5, "-": 0.5}),
+        ClassPriors({"+": 0.5, "-": 0.5}),
         model.value_counts, model.class_counts, model.alpha,
     )
     with pytest.raises(ArchiveError, match="counts"):
@@ -693,3 +703,92 @@ def test_train_refuses_a_bad_alpha_before_it_reads_a_text(monkeypatch, data_dir)
     labels, inputs = _training_data("multinomial", data_dir, None)
     with pytest.raises(ValueError, match="alpha"):
         train("multinomial", labels, inputs, math.nan)
+
+
+# ways the drawn counts, shares, total or table labels disagree; None: they agree
+_FAULTS = [None] * 6 + ["shares", "total", "table-drop", "table-add", "count-drop",
+                        "count-add", "count-fractional", "count-true"]
+
+
+@st.composite
+def _counts(draw):
+    """Class counts, the counts whose shares are the priors, the priors' total
+    and the class sizes the model's tables hold, at most one of them not
+    agreeing with the rest."""
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    sizes = {lab: draw(st.integers(1, 4)) for lab in labels}
+    counts, shares, total = dict(sizes), dict(sizes), sum(sizes.values())
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "shares":
+        shares = {lab: draw(st.integers(1, 4)) for lab in labels}
+    elif fault == "total":
+        total += draw(st.sampled_from([1, -1]))
+    elif fault == "table-drop":
+        sizes.pop(labels[-1])
+    elif fault == "table-add":
+        sizes["z"] = 1
+    elif fault == "count-drop":
+        counts.pop(labels[-1])
+    elif fault == "count-add":
+        counts["z"] = 1
+    elif fault:
+        counts[labels[0]] = 1.5 if fault == "count-fractional" else True
+    return counts, shares, total, sizes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    drawn=_counts(),
+    variant=st.sampled_from(list(VARIANTS)),
+    width=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_every_archive_the_constructors_accept_round_trips(
+    tmp_path_factory, drawn, variant, width, seed
+):
+    """Either a constructor refuses the drawn priors and tables, or the archive
+    loads back equal to itself and scores a probe exactly as before."""
+    counts, shares, total, class_sizes = drawn
+    table_labels = list(class_sizes)
+    rng = random.Random(seed)
+
+    def build() -> ModelArchive:
+        priors = ClassPriors(ClassPriors.from_counts(shares).probabilities, counts, total)
+        if variant == "categorical":
+            value_counts = tuple(
+                {lab: {"x": n - (k := rng.randint(0, n)), "y": k}
+                 for lab, n in class_sizes.items()}
+                for _ in range(width)
+            )
+            return ModelArchive(variant, CategoricalModel(priors, value_counts, class_sizes, 1.0))
+        if variant == "gaussian":
+            means = {lab: [rng.uniform(-2, 2) for _ in range(width)] for lab in table_labels}
+            stds = {lab: [rng.uniform(0.5, 2) for _ in range(width)] for lab in table_labels}
+            return ModelArchive(variant, GaussianModel(priors, means, stds, width))
+        if variant == "bernoulli":
+            doc_counts = {lab: [rng.randint(0, n) for _ in range(width)]
+                          for lab, n in class_sizes.items()}
+            model = BernoulliModel(priors, doc_counts, class_sizes, width)
+        else:
+            tf_sums = {
+                lab: {i: float(rng.randint(1, 3)) for i in range(width) if rng.random() < 0.7}
+                for lab in table_labels
+            }
+            totals = {lab: sum(sums.values()) for lab, sums in tf_sums.items()}
+            model = MultinomialModel(priors, tf_sums, totals, width, 0.5)
+        vocab = Vocabulary([f"t{i}" for i in range(width)], [1] * width, priors.total)
+        return ModelArchive(variant, model, PipelineConfig(), vocab,
+                            VARIANTS[variant].weightings[0])
+
+    try:
+        archive = build()
+    except ValueError:
+        return
+    path = tmp_path_factory.mktemp("round-trip") / "model.json"
+    save_archive(archive, path)
+    loaded = load_archive(path)
+    assert loaded == archive
+    probe = {"categorical": ["x"] * width, "gaussian": ["0.5"] * width}.get(variant, "t0 t1 zz")
+    probe = archive.encode(probe)
+    assert (posterior_scores(loaded.model, probe).log_scores
+            == posterior_scores(archive.model, probe).log_scores)

@@ -625,7 +625,7 @@ class TestPredict:
          "alpha"),
         # parameter tables whose labels are not the priors' labels
         ("multinomial", lambda doc: doc["parameters"]["tf_sums"].pop("spam"),
-         "tf_sums"),
+         "error: tf_sums has labels ['ham'], not ['ham', 'spam']\n"),
         ("multinomial", lambda doc: doc["parameters"]["class_totals"].pop("ham"),
          "class_totals"),
         ("bernoulli", lambda doc: doc["parameters"]["doc_counts"].pop("spam"),
@@ -638,7 +638,12 @@ class TestPredict:
          "value_counts"),
         ("categorical", lambda doc: doc["parameters"]["class_counts"].pop("+"),
          "class_counts"),
-        ("gaussian", lambda doc: doc["parameters"]["means"].pop("b"), "means"),
+        ("gaussian", lambda doc: doc["parameters"]["means"].pop("b"),
+         "error: means has labels ['a'], not ['a', 'b']\n"),
+        ("gaussian", lambda doc: doc["parameters"]["stds"].update(c=[1.0, 1.0]),
+         "error: stds has labels ['a', 'b', 'c'], not ['a', 'b']\n"),
+        ("categorical", lambda doc: doc["parameters"]["class_counts"].update(zz=0),
+         "error: class_counts has labels ['+', '-', 'zz'], not ['+', '-']\n"),
         # Bernoulli counts outside 0..class_doc_counts
         ("bernoulli", lambda doc: doc["parameters"]["doc_counts"]["spam"].__setitem__(
             0, -5), "doc_counts"),
@@ -805,7 +810,8 @@ class TestPredict:
             "tf_sums-class-missing", "class_totals-class-missing",
             "doc_counts-class-missing", "class_doc_counts-class-missing",
             "doc_counts-extra-class", "value_counts-class-missing",
-            "class_counts-class-missing", "means-class-missing",
+            "class_counts-class-missing", "means-class-missing", "stds-class-extra",
+            "class_counts-class-extra",
             "doc_counts-negative", "doc_counts-above-class-docs",
             "means-row-short", "stds-row-short", "std-zero", "std-negative",
             "class_totals-negative", "class_totals-scaled", "class_totals-string",

@@ -51,12 +51,6 @@ class TestLoadCorpus:
             load_corpus(path)
         assert err.value.line_number == 2
 
-    def test_label_set(self, tmp_path):
-        path = _write(tmp_path, "c.tsv", "ham\tone\nspam\ttwo\n")
-        corpus = load_corpus(path)
-        assert corpus.label_set == {"ham", "spam"}
-        assert len(corpus) == 2
-
     def test_blank_lines_skipped(self, tmp_path):
         path = _write(tmp_path, "c.tsv", "ham\tone\n\nspam\ttwo\n\n")
         assert len(load_corpus(path)) == 2
@@ -83,7 +77,7 @@ class TestLoadCorpus:
 
     def test_sample_corpus_parses(self, data_dir):
         corpus = load_corpus(data_dir / "sample_messages.tsv")
-        assert corpus.label_set == {"ham", "spam"}
+        assert {label for label, _ in corpus.documents} == {"ham", "spam"}
         assert len(corpus) == 60
 
 

@@ -17,6 +17,7 @@ from nbtext.models import (
     BernoulliModel,
     CategoricalModel,
     ClassPriors,
+    GaussianModel,
     MultinomialModel,
     classify,
     fit_bernoulli,
@@ -26,7 +27,6 @@ from nbtext.models import (
     fit_priors,
     gaussian_log_density,
     log_likelihood,
-    normalized_posteriors,
     posterior_scores,
 )
 from nbtext.vectorize import (
@@ -81,8 +81,30 @@ class TestPriors:
         with pytest.raises(ValueError, match="counts and total must be supplied together"):
             ClassPriors({"a": 1.0}, {"a": 1})
 
+    @pytest.mark.parametrize("probabilities,counts,total,message", [
+        ({"a": 0.5, "b": 0.5}, {"a": 1, "b": 3}, 4,
+         "each prior must be its class count over the total"),
+        ({"a": 1.0}, {"a": 3}, 5, "priors total 5 is not the sum of the counts"),
+        ({"a": 1.0}, {"a": 2}, 2.0, "priors total 2.0 is not the sum of the counts"),
+        ({"a": 1.0}, {"a": 1.5}, 1.5, "class sample counts must be ints"),
+        ({"a": 1.0}, {"a": True}, 1, "class sample counts must be ints"),
+        ({"a": 0.5, "b": 0.5}, {"a": -1, "b": -1}, -2, "class sample counts must be >= 1"),
+        ({"a": 1.0}, {"b": 1}, 1, r"counts has labels \['b'\], not \['a'\]"),
+        ({"a": 0.5, "b": 0.5}, {"a": 1}, 1, r"counts has labels \['a'\], not \['a', 'b'\]"),
+    ], ids=["shares-disagree", "total-not-sum", "total-float", "count-fractional",
+            "count-true", "counts-negative", "label-other", "label-missing"])
+    def test_counts_must_be_what_the_probabilities_count(
+        self, probabilities, counts, total, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            ClassPriors(probabilities, counts, total)
+
+    def test_counted_priors_are_what_from_counts_computes(self):
+        counted = ClassPriors({"a": 0.25, "b": 0.75}, {"a": 1, "b": 3}, 4)
+        assert counted == ClassPriors.from_counts({"a": 1, "b": 3})
+
     def test_forced_probabilities_have_no_counts(self):
-        priors = ClassPriors.from_probabilities({"a": 0.5, "b": 0.5})
+        priors = ClassPriors({"a": 0.5, "b": 0.5})
         assert priors.counts is None and priors.total is None
 
 
@@ -154,7 +176,7 @@ class TestToyDecision:
 
     def test_normalized_posteriors(self, toy_shapes):
         model = fit_categorical(*toy_shapes, alpha=0.0)
-        post = normalized_posteriors(model, ("blue", "square"))
+        post = posterior_scores(model, ("blue", "square")).posteriors
         expected_pos = (5 / 28) / (5 / 28 + 3 / 20)
         assert post["+"] == pytest.approx(expected_pos, abs=1e-12)
         assert post["+"] == pytest.approx(0.5435, abs=5e-4)
@@ -163,7 +185,7 @@ class TestToyDecision:
     def test_uniform_priors_flip_the_decision(self, toy_shapes):
         model = fit_categorical(*toy_shapes, alpha=0.0)
         flipped = CategoricalModel(
-            ClassPriors.from_probabilities({"+": 0.5, "-": 0.5}),
+            ClassPriors({"+": 0.5, "-": 0.5}),
             model.value_counts, model.class_counts, model.alpha,
         )
         assert classify(model, ("blue", "square")) == "+"
@@ -198,19 +220,19 @@ class TestBernoulli:
         model, vocab = self._fit(
             ["hit", "hit", "miss"], ["j", "j", "j"], "hit miss"
         )
-        assert model.estimate("j", vocab.token_to_id["hit"]) == pytest.approx(
+        assert model.conditional("j", vocab.token_to_id["hit"]) == pytest.approx(
             0.6, abs=EXACT
         )
 
     def test_absent_word_stays_positive(self):
         model, vocab = self._fit(["a", "a", "a"], ["j"] * 3, "a ghost")
-        assert model.estimate("j", vocab.token_to_id["ghost"]) == pytest.approx(
+        assert model.conditional("j", vocab.token_to_id["ghost"]) == pytest.approx(
             1 / 5, abs=EXACT
         )
 
     def test_ubiquitous_word_stays_below_one(self):
         model, vocab = self._fit(["a", "a", "a"], ["j"] * 3, "a ghost")
-        assert model.estimate("j", vocab.token_to_id["a"]) == pytest.approx(
+        assert model.conditional("j", vocab.token_to_id["a"]) == pytest.approx(
             4 / 5, abs=EXACT
         )
 
@@ -406,6 +428,38 @@ class TestAlphaRule:
         assert model.conditional("c", 0) == pytest.approx(1.0)
 
 
+class TestLabelRule:
+    """Every table a model keeps per class is keyed by its priors' labels, so a
+    model that builds can score every class and its archive loads."""
+
+    PRIORS = ClassPriors.from_counts({"a": 2, "b": 2})
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda p: MultinomialModel(p, {"a": {0: 1.0}}, {"a": 1.0, "b": 0.0}, 1, 1.0),
+         r"tf_sums has labels \['a'\], not \['a', 'b'\]"),
+        (lambda p: MultinomialModel(
+            p, {"a": {0: 1.0}, "b": {}}, {"a": 1.0, "b": 0.0, "c": 0.0}, 1, 1.0),
+         r"class_totals has labels \['a', 'b', 'c'\], not \['a', 'b'\]"),
+        (lambda p: BernoulliModel(p, {"a": [1], "b": [0]}, {"a": 2}, 1),
+         r"class_doc_counts has labels \['a'\], not \['a', 'b'\]"),
+        (lambda p: GaussianModel(p, {"a": [0.0]}, {"a": [1.0], "b": [1.0]}, 1),
+         r"means has labels \['a'\], not \['a', 'b'\]"),
+        (lambda p: CategoricalModel(
+            p, ({"a": {"x": 2}, "b": {"x": 2}}, {"a": {"x": 2}}), {"a": 2, "b": 2}, 0.0),
+         r"value_counts has labels \['a'\], not \['a', 'b'\]"),
+        (lambda p: CategoricalModel(p, ({"a": {"x": 2}, "b": {"x": 2}},), {"a": 2}, 0.0),
+         r"class_counts has labels \['a'\], not \['a', 'b'\]"),
+    ], ids=["tf_sums", "class_totals", "class_doc_counts", "means", "value_counts",
+            "class_counts"])
+    def test_a_table_not_keyed_by_the_prior_labels_is_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(self.PRIORS)
+
+    def test_forced_priors_hold_tables_to_their_labels_too(self):
+        with pytest.raises(ValueError, match="stds has labels"):
+            GaussianModel(ClassPriors({"a": 1.0}), {"a": [0.0]}, {"b": [1.0]}, 1)
+
+
 WORDS = [f"w{i}" for i in range(8)]
 CLASSES = ["c1", "c2", "c3"]
 
@@ -464,7 +518,7 @@ class TestDistributionalInvariants:
         model = fit_bernoulli(vecs, labels, vocab)
         for label in model.priors.labels:
             for i in range(len(vocab)):
-                assert 0.0 < model.estimate(label, i) < 1.0
+                assert 0.0 < model.conditional(label, i) < 1.0
 
     @settings(max_examples=150, deadline=None)
     @given(text_corpus(), st.lists(st.sampled_from(WORDS), max_size=10))
@@ -515,7 +569,7 @@ class TestDistributionalInvariants:
         decisions = []
         for p in grid:
             shifted = MultinomialModel(
-                ClassPriors.from_probabilities({"c1": p, "c2": 1 - p}),
+                ClassPriors({"c1": p, "c2": 1 - p}),
                 model.tf_sums, model.class_totals, model.vocab_size, model.alpha,
             )
             decisions.append(classify(shifted, vec))
@@ -593,7 +647,7 @@ class TestCategoricalOracle:
         samples, labels, query = setup
         model = fit_categorical(samples, labels, alpha)
         expected = categorical_posteriors_oracle(samples, labels, alpha, query)
-        got = normalized_posteriors(model, query)
+        got = posterior_scores(model, query).posteriors
         assert set(got) == set(expected)
         for label in got:
             assert got[label] == pytest.approx(expected[label], abs=1e-12)

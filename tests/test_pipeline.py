@@ -16,13 +16,13 @@ from nbtext.pipeline import (
     load_stop_list,
     ngrams,
     read_lines,
-    remove_stop_words,
     run_pipeline,
     tokenize,
 )
 from oracles import strip_boundary_punctuation_oracle
 
 DEFAULTS = PipelineConfig()
+DICTIONARY = PipelineConfig(stop_word_mode="dictionary")
 
 
 class TestTokenize:
@@ -148,18 +148,18 @@ class TestStopWords:
             build_stop_list([], 3)
 
     def test_removal_keeps_content_words(self):
-        stream = ["a", "swimmer", "likes", "swimming", "thus", "he", "swims"]
+        text = "A swimmer likes swimming, thus he swims."
         stops = StopList(frozenset({"a", "thus", "he"}))
-        assert remove_stop_words(stream, stops) == [
+        assert run_pipeline(text, DICTIONARY, stops) == [
             "swimmer", "likes", "swimming", "swims",
         ]
 
     def test_empty_stop_list_is_identity(self):
-        assert remove_stop_words(["x", "y"], StopList(frozenset())) == ["x", "y"]
+        assert run_pipeline("x y", DICTIONARY, StopList(frozenset())) == ["x", "y"]
 
     def test_all_stop_words(self):
         stops = StopList(frozenset({"the"}))
-        assert remove_stop_words(["the", "the", "the"], stops) == []
+        assert run_pipeline("the The THE", DICTIONARY, stops) == []
 
     def test_empty_stop_word_rejected(self):
         with pytest.raises(ValueError):
@@ -171,7 +171,7 @@ class TestStopWords:
         st.frozensets(st.sampled_from("abcde")),
     )
     def test_removal_yields_subsequence(self, stream, words):
-        out = remove_stop_words(stream, StopList(words))
+        out = run_pipeline(" ".join(stream), DICTIONARY, StopList(words))
         it = iter(stream)
         assert all(tok in it for tok in out)
         assert not set(out) & words

@@ -68,27 +68,27 @@ SAMPLES = {
         "n_test": (2, 3),
         "zero_division_labels": (frozenset(), frozenset({"a"})),
     },
+    # counts fix the probabilities and the total, and the class tables their labels
     ClassPriors: {
-        "probabilities": ({"a": 0.5, "b": 0.5}, {"a": 0.25, "b": 0.75}),
-        "counts": ({"a": 1, "b": 1}, {"a": 2, "b": 2}), "total": (2, 4),
+        "probabilities": ({"a": 0.25, "b": 0.75},), "counts": ({"a": 1, "b": 3},),
+        "total": (4,),
     },
     CategoricalModel: {
         "priors": (UNCOUNTED, COUNTED),
         "value_counts": (({"a": {"x": 2}},), ({"a": {"x": 1, "y": 1}},)),
-        "class_counts": ({"a": 2}, {"a": 2, "b": 0}), "alpha": (0.0, 1.0),
+        "class_counts": ({"a": 2},), "alpha": (0.0, 1.0),
     },
     BernoulliModel: {
-        "priors": (UNCOUNTED, COUNTED), "doc_counts": ({}, {"a": [1, 0]}),
-        "class_doc_counts": ({"a": 2}, {"a": 3}), "vocab_size": (2, 3),
+        "priors": (UNCOUNTED, COUNTED), "doc_counts": ({"a": [1, 0]}, {"a": [2, 0]}),
+        "class_doc_counts": ({"a": 2}, {"a": 3}), "vocab_size": (2,),
     },
     MultinomialModel: {
         "priors": (UNCOUNTED, COUNTED), "tf_sums": ({"a": {0: 1.0}}, {"a": {1: 1.0}}),
-        "class_totals": ({"a": 1.0}, {"a": 1.0, "b": 0.0}), "vocab_size": (2, 3),
-        "alpha": (1.0, 0.5),
+        "class_totals": ({"a": 1.0},), "vocab_size": (2, 3), "alpha": (1.0, 0.5),
     },
     GaussianModel: {
-        "priors": (UNCOUNTED, COUNTED), "means": ({}, {"a": [0.0]}),
-        "stds": ({}, {"a": [1.0]}), "n_features": (1, 2),
+        "priors": (UNCOUNTED, COUNTED), "means": ({"a": [0.0]}, {"a": [1.0]}),
+        "stds": ({"a": [1.0]}, {"a": [2.0]}), "n_features": (1,),
     },
     ModelArchive: {
         "variant": ("multinomial",),  # each variant holds its own model class

@@ -17,7 +17,6 @@ from nbtext.vectorize import (
     WEIGHTING_MODES,
     build_vocabulary,
     dump_vocabulary,
-    idf,
     vectorize,
     weigh,
 )
@@ -265,46 +264,39 @@ class TestAgainstOracle:
 class TestIdf:
     def test_term_in_every_document(self):
         vocab = build_vocabulary([["a"], ["a"]])
-        assert idf(vocab, 0) == 0.0
+        assert vocab.idf_table[0] == 0.0
 
     def test_half_the_documents(self):
         vocab = build_vocabulary([["a"], ["b"]])
-        assert idf(vocab, 0) == pytest.approx(math.log(2), abs=1e-15)
+        assert vocab.idf_table[0] == pytest.approx(math.log(2), abs=1e-15)
 
     def test_large_ratio(self):
         vocab = Vocabulary(["t"], [10], 1000)
-        assert idf(vocab, 0) == pytest.approx(math.log(100), abs=1e-12)
-
-    def test_unknown_id_rejected(self):
-        vocab = build_vocabulary([["a"]])
-        with pytest.raises(ValueError):
-            idf(vocab, 1)
+        assert vocab.idf_table[0] == pytest.approx(math.log(100), abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 1000), st.integers(1, 1000), st.integers(1, 1000))
     def test_antitone_and_nonnegative(self, df1, df2, extra):
         total = max(df1, df2) + extra
         vocab = Vocabulary(["a", "b"], [min(df1, df2), max(df1, df2)], total)
-        assert idf(vocab, 0) >= idf(vocab, 1) >= 0.0
+        assert vocab.idf_table[0] >= vocab.idf_table[1] >= 0.0
         if df1 != df2:
-            assert idf(vocab, 0) > idf(vocab, 1)
+            assert vocab.idf_table[0] > vocab.idf_table[1]
 
     @settings(max_examples=200, deadline=None)
     @given(token_streams, st.lists(st.sampled_from("abcdefghij"), max_size=20))
     def test_vectorize_reads_the_idf_of_each_entry(self, corpus, stream):
-        """tf-idf reads the vocabulary's idf table, which holds exactly what
-        idf() gives per id: ln(total_documents / df)."""
+        """tf-idf reads the vocabulary's idf table, which holds
+        ln(total_documents / df) per id."""
         vocab = build_vocabulary(corpus)
-        n_ids = len(vocab)
-        assert vocab.idf_table == [idf(vocab, i) for i in range(n_ids)]
         assert vocab.idf_table == [
             math.log(vocab.total_documents / df) for df in vocab.document_frequency
         ]
-        counts = Counter(vocab.token_to_id[tok] for tok in stream if tok in vocab)
+        counts = Counter(vocab.token_to_id[tok] for tok in stream if tok in vocab.token_to_id)
         expected = [
             (i, w)
             for i, tf in counts.items()
-            if (w := (tf / len(stream)) * idf(vocab, i)) > 0
+            if (w := (tf / len(stream)) * vocab.idf_table[i]) > 0
         ]
         assert list(vectorize(stream, vocab, TFIDF).entries.items()) == expected
 
