@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Byte parity of the nbtext command line between a base revision and the working tree.
+"""Byte parity of the nbtext command line between a base revision and the working tree,
+or between interpreters.
 
 Run from anywhere inside the repository:
 
     python scripts/parity.py --base HEAD
     python scripts/parity.py --base c1316ac --expect malformed/total-documents
+    python scripts/parity.py --python python3.10 --python python3.13
 
 The base revision's ``src/`` is exported with ``git archive`` into a temporary
 directory; the repository and its ``.git`` are left untouched. The working
@@ -20,6 +22,11 @@ that holds the same inputs under the same relative paths: ``tests/data/sample_me
 --dump-vocab``) and evaluates (``--report-out``) with nine text configurations
 and both row variants, then runs usage and input errors, and predicts from
 and inspects malformed archives.
+
+With ``--python EXE`` (repeatable) there is no base: the working tree runs
+under each EXE with ``PYTHONHASHSEED=1`` and is compared with the working tree
+under the interpreter running this script, with ``PYTHONHASHSEED=0``. Only the
+nbtext commands run under EXE, so it needs no pytest or other package.
 
 For every case the stdout, stderr, exit code and each file the case wrote are
 compared. Each case that differs is printed. The exit code is 1 when a case
@@ -263,6 +270,12 @@ MALFORMED = {
         lambda doc: doc["parameters"]["tf_sums"].pop("spam"))),
     "means-label-missing": ("numeric-gaussian", _edit_json(
         lambda doc: doc["parameters"]["means"].pop("b"))),
+    "priors-labels-string": ("numeric-gaussian", _edit_json(
+        lambda doc: doc["priors"].update(labels="ab"))),
+    "priors-label-int": ("sample-multinomial", _edit_json(
+        lambda doc: doc["priors"]["labels"].__setitem__(0, 1))),
+    "gaussian-mean-true": ("numeric-gaussian", _edit_json(
+        lambda doc: doc["parameters"]["means"]["a"].__setitem__(0, True))),
 }
 
 ERRORS = {
@@ -338,8 +351,21 @@ def _snapshot(run_dir: Path) -> Dict[str, bytes]:
     }
 
 
-def run_case(case: Case, src: Path, run_dir: Path, hash_seed: str) -> dict:
+@dataclass
+class Side:
+    """One run of the matrix: ``src`` under the interpreter ``python``, from its
+    own run directory, with its own hash seed."""
+
+    name: str
+    src: Path
+    run_dir: Path
+    hash_seed: str
+    python: str = sys.executable
+
+
+def run_case(case: Case, side: Side) -> dict:
     """The case's stdout, stderr, exit code and the files it wrote or changed."""
+    run_dir = side.run_dir
     before = _snapshot(run_dir)
     if case.edit is not None:
         source, target, edit = case.edit
@@ -350,10 +376,10 @@ def run_case(case: Case, src: Path, run_dir: Path, hash_seed: str) -> dict:
             # the source archive is missing, is not JSON or lacks the edited field
             out, err, code = b"", f"edit failed: {exc}\n".encode(), 1
     else:
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed,
+        env = dict(os.environ, PYTHONPATH=str(side.src), PYTHONHASHSEED=side.hash_seed,
                    PYTHONDONTWRITEBYTECODE="1")
         stdin = (run_dir / case.stdin).read_bytes() if case.stdin else b""
-        done = subprocess.run([sys.executable, "-m", "nbtext.cli", *case.args],
+        done = subprocess.run([side.python, "-m", "nbtext.cli", *case.args],
                               cwd=run_dir, env=env, input=stdin, capture_output=True)
         out, err, code = done.stdout, done.stderr, done.returncode
     after = _snapshot(run_dir)
@@ -361,28 +387,30 @@ def run_case(case: Case, src: Path, run_dir: Path, hash_seed: str) -> dict:
     return {"stdout": out, "stderr": err, "exit": code, "files": files}
 
 
-def _first_difference(a: bytes, b: bytes) -> str:
+def _first_difference(a: bytes, b: bytes, names: Tuple[str, str]) -> str:
     lines_a, lines_b = a.splitlines(), b.splitlines()
     for i, (x, y) in enumerate(zip(lines_a, lines_b)):
-        if x != y:
-            return f"line {i + 1}: base {x[:120]!r} / working tree {y[:120]!r}"
-    return f"base has {len(lines_a)} lines, working tree {len(lines_b)}"
+        if x != y:  # shown from a little before the first byte that differs
+            at = next((j for j, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y)))
+            x, y = (line[max(0, at - 40):at + 80] for line in (x, y))
+            return f"line {i + 1}, byte {at + 1}: {names[0]} {x!r} / {names[1]} {y!r}"
+    return f"{names[0]} has {len(lines_a)} lines, {names[1]} {len(lines_b)}"
 
 
-def differences(base: dict, change: dict) -> List[str]:
+def differences(base: dict, change: dict, names: Tuple[str, str]) -> List[str]:
     out = []
     if base["exit"] != change["exit"]:
-        out.append(f"exit code: base {base['exit']}, working tree {change['exit']}")
+        out.append(f"exit code: {names[0]} {base['exit']}, {names[1]} {change['exit']}")
     for stream in ("stdout", "stderr"):
         if base[stream] != change[stream]:
-            out.append(f"{stream}: {_first_difference(base[stream], change[stream])}")
+            out.append(f"{stream}: {_first_difference(base[stream], change[stream], names)}")
     for path in sorted(set(base["files"]) | set(change["files"])):
         a, b = base["files"].get(path), change["files"].get(path)
         if a is None or b is None:
-            side = "base" if b is None else "working tree"
+            side = names[0] if b is None else names[1]
             out.append(f"{path}: written only by the {side}")
         elif a != b:
-            out.append(f"{path}: {_first_difference(a, b)}")
+            out.append(f"{path}: {_first_difference(a, b, names)}")
     return out
 
 
@@ -401,7 +429,11 @@ def export_base(rev: str, dest: Path) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--base", required=True, help="git revision to compare with")
+    compared = parser.add_mutually_exclusive_group(required=True)
+    compared.add_argument("--base", help="git revision to compare with")
+    compared.add_argument("--python", action="append", metavar="EXE",
+                          help="an interpreter to run the working tree under, compared "
+                               "with the working tree under this one (repeatable)")
     parser.add_argument("--expect", action="append", default=[], metavar="CASE",
                         help="a case expected to differ (repeatable)")
     args = parser.parse_args(argv)
@@ -409,35 +441,47 @@ def main(argv=None) -> int:
     unknown = sorted(set(args.expect) - {case.name for case in cases})
     if unknown:
         parser.error(f"--expect names no case: {', '.join(unknown)}")
+    missing = [exe for exe in args.python or () if shutil.which(exe) is None]
+    if missing:
+        parser.error(f"--python names no interpreter: {', '.join(missing)}")
     with tempfile.TemporaryDirectory(prefix="nbtext-parity-") as tmp:
         tmp = Path(tmp)
-        export_base(args.base, tmp / "base")
-        shutil.copytree(ROOT / "src", tmp / "change" / "src",
+        change = tmp / "change" / "src"
+        shutil.copytree(ROOT / "src", change,
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-        # each side's source, run directory and hash seed
-        trees = {side: (tmp / side / "src", tmp / side / "run", seed)
-                 for side, seed in (("base", "0"), ("change", "1"))}
-        for _, run_dir, _ in trees.values():
-            write_inputs(run_dir)
+        if args.base:
+            export_base(args.base, tmp / "base")
+            reference = Side("base", tmp / "base" / "src", tmp / "base" / "run", "0")
+            others = [Side("working tree", change, tmp / "change" / "run", "1")]
+        else:
+            reference = Side(sys.executable, change, tmp / "change" / "run", "0")
+            others = [Side(exe, change, tmp / f"python-{i}" / "run", "1", exe)
+                      for i, exe in enumerate(args.python)]
+        for side in (reference, *others):
+            write_inputs(side.run_dir)
             for sub in ("models", "reports"):
-                (run_dir / sub).mkdir()
+                (side.run_dir / sub).mkdir()
         differ, unexpected = [], []
         for case in cases:
-            base, change = (run_case(case, *tree) for tree in trees.values())
-            found = differences(base, change)
-            if not found:
-                continue
-            expected = case.name in args.expect
-            differ.append(case.name)
-            if not expected:
-                unexpected.append(case.name)
-            print(f"DIFFERS {case.name}{' (expected)' if expected else ''}")
-            for line in found:
-                print(f"  {line}")
+            base = run_case(case, reference)
+            for side in others:
+                found = differences(base, run_case(case, side), (reference.name, side.name))
+                if not found:
+                    continue
+                expected = case.name in args.expect
+                if case.name not in differ:
+                    differ.append(case.name)
+                    if not expected:
+                        unexpected.append(case.name)
+                under = f" under {side.name}" if args.python else ""
+                print(f"DIFFERS {case.name}{under}{' (expected)' if expected else ''}")
+                for line in found:
+                    print(f"  {line}")
     for name in args.expect:
         if name not in differ:
             print(f"note: {name} was expected to differ but is identical")
-    print(f"parity with {args.base}: {len(cases)} cases, {len(cases) - len(differ)} "
+    what = args.base or f"the working tree under {', '.join(args.python)}"
+    print(f"parity with {what}: {len(cases)} cases, {len(cases) - len(differ)} "
           f"identical, {len(differ)} differ ({len(differ) - len(unexpected)} expected)")
     return 1 if unexpected else 0
 

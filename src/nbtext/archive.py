@@ -68,7 +68,8 @@ class Variant(Record):
     rows, or the texts' id -> weight tables and the vocabulary size, then the
     labels, then ``alpha`` for ``smoothed`` variants; the others ignore it."""
 
-    __slots__ = _fields = ("name", "model_class", "fit", "weightings", "smoothed", "cell")
+    _shapes = {"name": str, "model_class": type, "fit": object,
+               "weightings": tuple[str, ...], "smoothed": bool, "cell": object}
     _defaults = {"weightings": (), "smoothed": False, "cell": None}
 
     @property
@@ -116,7 +117,9 @@ class ModelArchive(Record):
     the priors' documents, and a pipeline that removes stop words needs its
     stop list."""
 
-    __slots__ = _fields = ("variant", "model", "pipeline_config", "vocab", "weighting", "stops")
+    _shapes = {"variant": str, "model": object,  # _check tests the model's class
+               "pipeline_config": PipelineConfig | None, "vocab": Vocabulary | None,
+               "weighting": str | None, "stops": StopList | None}
     _defaults = {"pipeline_config": None, "vocab": None, "weighting": None, "stops": None}
 
     def _check(self):
@@ -132,8 +135,7 @@ class ModelArchive(Record):
                     f"{self.variant} archives need pipeline config, vocabulary "
                     "and weighting"
                 )
-            size = self.model.vocab_size
-            if type(size) is not int or size != len(self.vocab):
+            if self.model.vocab_size != len(self.vocab):
                 raise ValueError(f"vocab_size must be the token count, {len(self.vocab)}")
             total = self.model.priors.total
             if total is not None and self.vocab.total_documents != total:
@@ -195,6 +197,8 @@ def _priors_payload(priors: ClassPriors) -> dict:
 
 def _priors_from_payload(payload: dict) -> ClassPriors:
     labels, counts, total = _section(payload, "priors", ("labels", "counts", "total"))
+    if type(labels) is not list or type(counts) is not list:  # zip would read a str
+        raise ValueError("priors labels and counts must be lists")
     if len(set(labels)) != len(labels) or len(counts) != len(labels):
         raise ValueError("priors need one count per distinct label")
     priors = ClassPriors.from_counts(dict(zip(labels, counts)))

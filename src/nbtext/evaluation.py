@@ -68,12 +68,12 @@ def split(
 
 
 class LabelMetrics(Record):
-    __slots__ = _fields = ("precision", "recall", "f1", "support")
+    _shapes = dict.fromkeys(("precision", "recall", "f1", "support"), object)  # tally fills it
 
 
 class EvaluationReport(Record):
-    __slots__ = _fields = ("accuracy", "per_label", "confusion", "n_test",
-                           "zero_division_labels")
+    _shapes = dict.fromkeys(("accuracy", "per_label", "confusion", "n_test",
+                             "zero_division_labels"), object)  # tally fills it
     _defaults = {"zero_division_labels": frozenset()}
 
     def to_json_dict(self) -> dict:

@@ -78,8 +78,8 @@ class ClassPriors(Record):
     """Per-class prior probabilities, with sample counts kept alongside
     when the priors were estimated from data."""
 
-    _fields = ("probabilities", "counts", "total")
-    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached log_probabilities
+    _shapes = {"probabilities": dict[str, float], "counts": dict[str, int] | None,
+               "total": int | None}
     _defaults = {"counts": None, "total": None}
 
     def _check(self):
@@ -95,11 +95,9 @@ class ClassPriors(Record):
         # counts are those from_counts takes, the rest exactly what it computes
         if self.counts is not None:
             _check_labels(self, self.probabilities.keys())
-            if not set(map(type, self.counts.values())) <= {int}:
-                raise ValueError("class sample counts must be ints")
             if min(self.counts.values()) < 1:
                 raise ValueError("class sample counts must be >= 1")
-            if type(self.total) is not int or self.total != sum(self.counts.values()):
+            if self.total != sum(self.counts.values()):
                 raise ValueError(f"priors total {self.total!r} is not the sum of the counts")
             if any(p != self.counts[c] / self.total for c, p in self.probabilities.items()):
                 raise ValueError("each prior must be its class count over the total")
@@ -149,18 +147,18 @@ class CategoricalModel(Record):
     distinct values at position i, counting the queried value if unseen.
     """
 
-    _fields = ("priors", "value_counts", "class_counts", "alpha")
-    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached domains
+    _shapes = {"priors": ClassPriors, "value_counts": tuple[dict[str, dict[str, int]], ...],
+               "class_counts": dict[str, int], "alpha": object}  # check_alpha owns alpha
 
     def _check(self):
         _check_labels(self, self.priors.probabilities.keys())
         for label, n in self.class_counts.items():
-            if type(n) is not int or n < 0:
+            if n < 0:
                 raise ValueError(f"class_counts[{label!r}] must be an int >= 0")
         for i, table in enumerate(self.value_counts):
             for label, counts in table.items():
                 values = counts.values()
-                if not set(map(type, values)) <= {int} or min(values, default=0) < 0:
+                if min(values, default=0) < 0:
                     raise ValueError(f"value_counts[{i}][{label!r}] must hold ints >= 0")
                 if sum(values) != self.class_counts.get(label):
                     raise ValueError(
@@ -246,22 +244,20 @@ class BernoulliModel(Record):
     The +1/+2 correction keeps every estimate strictly inside (0, 1).
     """
 
-    _fields = ("priors", "doc_counts", "class_doc_counts", "vocab_size")
-    __slots__ = (*_fields, "__dict__")  # __dict__ holds _distinct_counts and linear_form
+    _shapes = {"priors": ClassPriors, "doc_counts": dict[str, list[int]],
+               "class_doc_counts": dict[str, int], "vocab_size": int}
 
     def _check(self):
         _check_labels(self, self.priors.probabilities.keys())
         # each row's distinct counts, found once for the range check and linear_form
         self.__dict__["_distinct_counts"] = distinct = {}
         for label, row in self.doc_counts.items():
-            docs = self.class_doc_counts.get(label)
-            if type(docs) is not int or docs < 0:
+            docs = self.class_doc_counts[label]
+            if docs < 0:
                 raise ValueError(f"class_doc_counts[{label!r}] must be an int >= 0")
             if len(row) != self.vocab_size:
                 raise ValueError("doc_counts rows must have vocab_size entries")
-            if not set(map(type, row)) <= {int}:
-                raise ValueError(f"doc_counts[{label!r}] must hold ints")
-            distinct[label] = counts = set(row)  # after the type check: 1.0 == 1
+            distinct[label] = counts = set(row)
             if counts and not 0 <= min(counts) <= max(counts) <= docs:
                 raise ValueError(f"doc_counts[{label!r}] must lie between 0 and {docs}")
         if self.priors.counts is not None and self.class_doc_counts != self.priors.counts:
@@ -322,18 +318,16 @@ class MultinomialModel(Record):
     class_totals[class] is the sum of all stored weights for the class.
     """
 
-    _fields = ("priors", "tf_sums", "class_totals", "vocab_size", "alpha")
-    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached linear_form
+    _shapes = {"priors": ClassPriors, "tf_sums": dict[str, dict[int, float]],
+               "class_totals": dict[str, float], "vocab_size": int, "alpha": object}
 
     def _check(self):
         _check_labels(self, self.priors.probabilities.keys())
-        if type(self.vocab_size) is not int or self.vocab_size < 0:
+        if self.vocab_size < 0:
             raise ValueError("vocab_size must be an int >= 0")
         for label, sums in self.tf_sums.items():
             if sums and not (0 <= min(sums) and max(sums) < self.vocab_size):
                 raise ValueError(f"tf_sums[{label!r}] ids must lie in range(vocab_size)")
-            if not set(map(type, sums.values())) <= {int, float}:  # a bool is no weight
-                raise ValueError(f"tf_sums[{label!r}] must hold finite weights >= 0")
             try:
                 exact = math.fsum(sums.values())
             except (OverflowError, ValueError):  # past the float range, or inf - inf
@@ -342,14 +336,7 @@ class MultinomialModel(Record):
                 raise ValueError(f"tf_sums[{label!r}] must hold finite weights >= 0")
             # training adds the totals with += in document order, so they
             # match the exact sum only to rounding
-            total = self.class_totals.get(label)
-            try:
-                matches = type(total) in (int, float) and math.isclose(
-                    total, exact, rel_tol=1e-9
-                )
-            except OverflowError:  # an int total past the float range
-                matches = False
-            if not matches:
+            if not math.isclose(self.class_totals[label], exact, rel_tol=1e-9):
                 raise ValueError(
                     f"class_totals[{label!r}] must be the sum of tf_sums[{label!r}]"
                 )
@@ -412,20 +399,15 @@ def fit_multinomial(
 class GaussianModel(Record):
     """Per-class, per-feature normal densities (population sigma)."""
 
-    __slots__ = _fields = ("priors", "means", "stds", "n_features")
+    _shapes = {"priors": ClassPriors, "means": dict[str, list[float]],
+               "stds": dict[str, list[float]], "n_features": int}
 
     def _check(self):
         _check_labels(self, self.priors.probabilities.keys())
-        if type(self.n_features) is not int:
-            raise ValueError("n_features must be an int")
         rows = [*self.means.values(), *self.stds.values()]
         if any(len(row) != self.n_features for row in rows):
             raise ValueError("means and stds rows must have n_features entries")
-        try:
-            finite = all(math.isfinite(x) for row in rows for x in row)
-        except OverflowError:  # an int past the float range
-            finite = False
-        if not finite:
+        if not all(math.isfinite(x) for row in rows for x in row):
             raise ValueError("means and stds must be finite numbers")
         if not all(sd > 0 for row in self.stds.values() for sd in row):
             raise ValueError("stds must be > 0")
@@ -478,7 +460,8 @@ class PosteriorReport(Record):
     are then reported uniform and the prediction falls back to the prior.
     """
 
-    __slots__ = _fields = ("log_scores", "posteriors", "predicted", "degenerate_evidence")
+    _shapes = dict.fromkeys(("log_scores", "posteriors", "predicted", "degenerate_evidence"),
+                            object)  # posterior_scores alone builds a report
     _defaults = {"degenerate_evidence": False}
 
 

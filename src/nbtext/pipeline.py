@@ -38,19 +38,12 @@ STOP_WORD_MODES = ("none", "dictionary", "frequency")
 
 
 class PipelineConfig(Record):
-    __slots__ = _fields = ("lowercase", "strip_punctuation", "stop_word_mode",
-                           "frequency_top_n", "stemming", "ngram_size")
+    _shapes = {"lowercase": bool, "strip_punctuation": bool, "stop_word_mode": str,
+               "frequency_top_n": int | None, "stemming": bool, "ngram_size": int}
     _defaults = {"lowercase": True, "strip_punctuation": True, "stop_word_mode": "none",
                  "frequency_top_n": None, "stemming": False, "ngram_size": 1}
 
     def _check(self):
-        for name in ("lowercase", "strip_punctuation", "stemming"):
-            if type(getattr(self, name)) is not bool:
-                raise ValueError(f"{name} must be true or false")
-        if type(self.ngram_size) is not int:
-            raise ValueError("ngram_size must be an int")
-        if self.frequency_top_n is not None and type(self.frequency_top_n) is not int:
-            raise ValueError("frequency_top_n must be an int or null")
         if self.stop_word_mode not in STOP_WORD_MODES:
             raise ValueError(f"unknown stop_word_mode: {self.stop_word_mode!r}")
         if self.stop_word_mode == "frequency":
@@ -61,14 +54,12 @@ class PipelineConfig(Record):
 
 
 class StopList(Record):
-    __slots__ = _fields = ("words", "origin")
+    _shapes = {"words": frozenset[str], "origin": str}
     _defaults = {"words": frozenset(), "origin": "dictionary"}
 
     def _check(self):
-        if not all(type(w) is str and w for w in self.words):
+        if "" in self.words:
             raise ValueError("stop words must be non-empty strings")
-        if type(self.origin) is not str:
-            raise ValueError("stop list origin must be a string")
 
 
 def _strip_boundary_punctuation(token: str) -> str:
@@ -174,7 +165,7 @@ class CorpusFormatError(ValueError):
 class LabeledCorpus(Record):
     """(label, input) pairs; an input is a text or a row of cells."""
 
-    __slots__ = _fields = ("documents",)
+    _shapes = {"documents": tuple[tuple, ...]}
 
     def _check(self):
         if not self.documents:

@@ -46,23 +46,16 @@ class Vocabulary(Record):
     document. ``token_to_id``, the token -> id map, is built with the record.
     """
 
-    _fields = ("tokens", "document_frequency", "total_documents")
-    __slots__ = (*_fields, "__dict__")  # __dict__ holds token_to_id and the cached idf_table
+    _shapes = {"tokens": list[str], "document_frequency": list[int], "total_documents": int}
 
     def _check(self):
         tokens, df, total = self._values()
-        if type(tokens) is not list:  # zip would take a str's characters
-            raise ValueError("vocabulary tokens must be a list")
         self.__dict__["token_to_id"] = ids = dict(zip(tokens, range(len(tokens))))
         if len(df) != len(ids):
             raise ValueError("document_frequency length must equal vocabulary size")
         if len(ids) != len(tokens):
             raise ValueError("vocabulary tokens must be distinct")
-        if not set(map(type, tokens)) <= {str}:
-            raise ValueError("vocabulary tokens must be strings")
-        if type(total) is not int or not set(map(type, df)) <= {int}:
-            raise ValueError("document frequencies and total_documents must be ints")
-        counts = set(df)  # after the type check, which tells 1 from 1.0 and True
+        counts = set(df)
         if counts and not 1 <= min(counts) <= max(counts) <= total:
             raise ValueError(f"document frequencies must lie between 1 and {total}")
 
@@ -84,7 +77,7 @@ class SparseVector(Record):
     out-of-vocabulary tokens that were dropped from entries.
     """
 
-    __slots__ = _fields = ("entries", "doc_length")
+    _shapes = {"entries": dict[int, int | float], "doc_length": int}
 
     def _check(self):
         if not all(0 < v < math.inf for v in self.entries.values()):

@@ -736,33 +736,48 @@ def _counts(draw):
     return counts, shares, total, sizes
 
 
+# per variant, the values of a type the model's fields do not take: a string of
+# stop words (a frozenset of its characters once saved), a float token id (no
+# decimal id once saved), an int categorical value (a string once saved) and a
+# true mean (refused by the rows variant that reads it)
+_TYPE_FAULTS = {"categorical": ["value-int"], "bernoulli": ["stop-words-string"],
+                "multinomial": ["stop-words-string", "tf-sums-key-float"],
+                "gaussian": ["mean-true"]}
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     drawn=_counts(),
-    variant=st.sampled_from(list(VARIANTS)),
+    variant_fault=st.sampled_from(list(VARIANTS)).flatmap(lambda variant: st.tuples(
+        st.just(variant), st.sampled_from([None] * 3 + _TYPE_FAULTS[variant]))),
     width=st.integers(1, 3),
     seed=st.integers(0, 2**16),
 )
 def test_every_archive_the_constructors_accept_round_trips(
-    tmp_path_factory, drawn, variant, width, seed
+    tmp_path_factory, drawn, variant_fault, width, seed
 ):
     """Either a constructor refuses the drawn priors and tables, or the archive
-    loads back equal to itself and scores a probe exactly as before."""
+    loads back equal to itself and scores a probe exactly as before; a drawn
+    type fault is always refused."""
     counts, shares, total, class_sizes = drawn
+    variant, type_fault = variant_fault
     table_labels = list(class_sizes)
     rng = random.Random(seed)
 
     def build() -> ModelArchive:
         priors = ClassPriors(ClassPriors.from_counts(shares).probabilities, counts, total)
         if variant == "categorical":
+            x = 1 if type_fault == "value-int" else "x"
             value_counts = tuple(
-                {lab: {"x": n - (k := rng.randint(0, n)), "y": k}
+                {lab: {x: n - (k := rng.randint(0, n)), "y": k}
                  for lab, n in class_sizes.items()}
                 for _ in range(width)
             )
             return ModelArchive(variant, CategoricalModel(priors, value_counts, class_sizes, 1.0))
         if variant == "gaussian":
             means = {lab: [rng.uniform(-2, 2) for _ in range(width)] for lab in table_labels}
+            if type_fault == "mean-true" and table_labels:
+                means[table_labels[0]][0] = True
             stds = {lab: [rng.uniform(0.5, 2) for _ in range(width)] for lab in table_labels}
             return ModelArchive(variant, GaussianModel(priors, means, stds, width))
         if variant == "bernoulli":
@@ -774,9 +789,15 @@ def test_every_archive_the_constructors_accept_round_trips(
                 lab: {i: float(rng.randint(1, 3)) for i in range(width) if rng.random() < 0.7}
                 for lab in table_labels
             }
+            if type_fault == "tf-sums-key-float" and table_labels:  # 0.0 == 0: 0 goes first
+                sums = tf_sums[table_labels[0]]
+                sums[0.0] = sums.pop(0, 1.0)
             totals = {lab: sum(sums.values()) for lab, sums in tf_sums.items()}
             model = MultinomialModel(priors, tf_sums, totals, width, 0.5)
         vocab = Vocabulary([f"t{i}" for i in range(width)], [1] * width, priors.total)
+        if type_fault == "stop-words-string":
+            return ModelArchive(variant, model, PipelineConfig(stop_word_mode="dictionary"),
+                                vocab, VARIANTS[variant].weightings[0], StopList("the"))
         return ModelArchive(variant, model, PipelineConfig(), vocab,
                             VARIANTS[variant].weightings[0])
 
@@ -784,6 +805,7 @@ def test_every_archive_the_constructors_accept_round_trips(
         archive = build()
     except ValueError:
         return
+    assert type_fault is None, f"{type_fault} was accepted"
     path = tmp_path_factory.mktemp("round-trip") / "model.json"
     save_archive(archive, path)
     loaded = load_archive(path)

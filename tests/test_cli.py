@@ -686,14 +686,15 @@ class TestPredict:
          "ngram_size"),
         ("multinomial", lambda doc: doc["pipeline"].update(lowercase=1), "lowercase"),
         ("multinomial", lambda doc: doc.update(
-            stop_words={"origin": "dictionary", "words": ["the", 7]}), "stop words"),
+            stop_words={"origin": "dictionary", "words": ["the", 7]}),
+         "error: StopList.words must be frozenset[str]\n"),
         # vocabulary tokens that are not strings, counts that are not ints
         ("multinomial", lambda doc: doc["vocabulary"]["tokens"].__setitem__(0, None),
-         "tokens must be strings"),
+         "error: Vocabulary.tokens must be list[str]\n"),
         ("multinomial", lambda doc: doc["vocabulary"]["document_frequency"].__setitem__(
-            0, 1.25), "must be ints"),
+            0, 1.25), "error: Vocabulary.document_frequency must be list[int]\n"),
         ("multinomial", lambda doc: doc["vocabulary"].update(total_documents=48.5),
-         "must be ints"),
+         "error: Vocabulary.total_documents must be int\n"),
         # prior counts that are not ints, or not one per distinct label, and
         # a total that is not an int
         ("multinomial", lambda doc: doc["priors"].update(
@@ -734,14 +735,15 @@ class TestPredict:
         # a total past the float range, and id keys that int() reads but that
         # are not the decimal form of their id
         ("multinomial", lambda doc: doc["parameters"]["class_totals"].update(
-            spam=10**400), "class_totals['spam'] must be the sum of tf_sums['spam']"),
+            spam=10**400),
+         "error: MultinomialModel.class_totals must be dict[str, float]\n"),
         ("multinomial", _respell("ham", "12", " +12"), "tf_sums['ham'] keys"),
         ("multinomial", _respell("ham", "12", "1_2"), "tf_sums['ham'] keys"),
         ("multinomial", _respell("ham", "12", "012"), "tf_sums['ham'] keys"),
         ("multinomial", _respell("spam", "209", "209a"), "tf_sums['spam'] keys"),
         ("multinomial", _respell("ham", "1", "1.0"), "tf_sums['ham'] keys"),
         ("gaussian", lambda doc: doc["parameters"]["means"]["a"].__setitem__(0, 10**400),
-         "means and stds must be finite numbers"),
+         "error: GaussianModel.means must be dict[str, list[float]]\n"),
         # a vocab_size that passes the tf_sums range check, and stop words that
         # frozenset would read as characters or keys
         ("multinomial", lambda doc: doc["parameters"].update(
@@ -757,11 +759,13 @@ class TestPredict:
         # stop list origins that are not strings
         ("multinomial", lambda doc: doc["vocabulary"].update(tokens="".join(
             chr(0x4E00 + i) for i in range(len(doc["vocabulary"]["tokens"])))),
-         "vocabulary tokens must be a list"),
+         "error: Vocabulary.tokens must be list[str]\n"),
         ("multinomial", lambda doc: doc.update(
-            stop_words={"origin": ["x"], "words": ["the"]}), "origin must be a string"),
+            stop_words={"origin": ["x"], "words": ["the"]}),
+         "error: StopList.origin must be str\n"),
         ("multinomial", lambda doc: doc.update(
-            stop_words={"origin": 7, "words": ["the"]}), "origin must be a string"),
+            stop_words={"origin": 7, "words": ["the"]}),
+         "error: StopList.origin must be str\n"),
         # a second token that repeats the first leaves one id fewer than counts
         ("multinomial", lambda doc: doc["vocabulary"]["tokens"].__setitem__(
             1, doc["vocabulary"]["tokens"][0]),
@@ -804,6 +808,17 @@ class TestPredict:
         # the version is read first, so a later format is named as such
         ("multinomial", lambda doc: doc.update(format_version=2, colour="red"),
          "error: unsupported format_version 2; this build reads version 1\n"),
+        # priors labels and counts that zip would read as characters or keys, a
+        # label that is no string, and a mean that is no float
+        ("gaussian", lambda doc: doc["priors"].update(labels="ab"),
+         "error: priors labels and counts must be lists\n"),
+        ("multinomial", lambda doc: doc["priors"].update(
+            counts=dict(zip(doc["priors"]["labels"], doc["priors"]["counts"]))),
+         "error: priors labels and counts must be lists\n"),
+        ("multinomial", lambda doc: doc["priors"]["labels"].__setitem__(0, 1),
+         "error: ClassPriors.probabilities must be dict[str, float]\n"),
+        ("gaussian", lambda doc: doc["parameters"]["means"]["a"].__setitem__(0, True),
+         "error: GaussianModel.means must be dict[str, list[float]]\n"),
     ], ids=["counts-strings", "priors-string", "tf_sums-list", "tf_sums-missing",
             "vocab_size-mismatch", "alpha-string", "alpha-negative",
             "total-zero", "total-not-sum", "vocab_size-float", "alpha-inf",
@@ -831,7 +846,9 @@ class TestPredict:
             "tokens-repeated-df-short", "row-pipeline-vocabulary", "row-stop-words",
             "pipeline-key-missing", "pipeline-key-unknown", "archive-key-unknown",
             "priors-key-unknown", "parameters-key-misspelt", "stop-words-key-unknown",
-            "vocabulary-key-unknown", "vocabulary-list", "future-version-key-unknown"])
+            "vocabulary-key-unknown", "vocabulary-list", "future-version-key-unknown",
+            "priors-labels-string", "priors-counts-object", "priors-label-int",
+            "gaussian-mean-true"])
     def test_malformed_archive(
         self, tmp_path, corpus_path, toy_csv_path, capsys, variant, corrupt, message
     ):

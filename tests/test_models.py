@@ -85,9 +85,9 @@ class TestPriors:
         ({"a": 0.5, "b": 0.5}, {"a": 1, "b": 3}, 4,
          "each prior must be its class count over the total"),
         ({"a": 1.0}, {"a": 3}, 5, "priors total 5 is not the sum of the counts"),
-        ({"a": 1.0}, {"a": 2}, 2.0, "priors total 2.0 is not the sum of the counts"),
-        ({"a": 1.0}, {"a": 1.5}, 1.5, "class sample counts must be ints"),
-        ({"a": 1.0}, {"a": True}, 1, "class sample counts must be ints"),
+        ({"a": 1.0}, {"a": 2}, 2.0, r"^ClassPriors\.total must be int \| None$"),
+        ({"a": 1.0}, {"a": 1.5}, 1.5, r"^ClassPriors\.counts must be dict\[str, int\] \| None$"),
+        ({"a": 1.0}, {"a": True}, 1, r"^ClassPriors\.counts must be dict\[str, int\] \| None$"),
         ({"a": 0.5, "b": 0.5}, {"a": -1, "b": -1}, -2, "class sample counts must be >= 1"),
         ({"a": 1.0}, {"b": 1}, 1, r"counts has labels \['b'\], not \['a'\]"),
         ({"a": 0.5, "b": 0.5}, {"a": 1}, 1, r"counts has labels \['a'\], not \['a', 'b'\]"),

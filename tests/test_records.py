@@ -12,6 +12,8 @@ import pickle
 import pkgutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nbtext
 from nbtext.archive import ModelArchive, Variant
@@ -92,7 +94,7 @@ SAMPLES = {
     },
     ModelArchive: {
         "variant": ("multinomial",),  # each variant holds its own model class
-        "model": (MULTINOMIAL, MultinomialModel(UNCOUNTED, {"a": {}}, {"a": 0}, 1, 1.0)),
+        "model": (MULTINOMIAL, MultinomialModel(UNCOUNTED, {"a": {}}, {"a": 0.0}, 1, 1.0)),
         "pipeline_config": (PipelineConfig(), PipelineConfig(stemming=True)),
         "vocab": (Vocabulary(["x"], [1], 1), Vocabulary(["y"], [1], 1)),
         "weighting": ("raw_count", "tfidf"), "stops": (None, StopList()),
@@ -208,3 +210,70 @@ def test_trailing_fields_left_out_take_their_defaults():
 def test_a_field_missing_unknown_repeated_or_extra_raises_type_error(build, message):
     with pytest.raises(TypeError, match=message):
         build()
+
+
+# the records a library caller or an archive fills, and JSON-like values for a
+# field: null, true/false, numbers, strings, and lists or string-keyed objects of
+# these; keys are often a sample's labels, so a value can pass the label rules
+INPUT_RECORDS = [ClassPriors, CategoricalModel, BernoulliModel, MultinomialModel,
+                 GaussianModel, Vocabulary, PipelineConfig, StopList, SparseVector,
+                 LabeledCorpus, ModelArchive]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["a", "b", "x"]) | st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data(), JSON_VALUES)
+def test_every_input_record_builds_or_raises_value_error(data, value):
+    """A valid sample with one field replaced by a JSON-like value either builds
+    or is refused with ValueError, never TypeError, AttributeError or KeyError;
+    a value of the wrong type is refused naming the record and the field."""
+    cls = data.draw(st.sampled_from(INPUT_RECORDS), label="record")
+    name = data.draw(st.sampled_from(list(SAMPLES[cls])), label="field")
+    try:
+        cls(**_fields(cls, **{name: value}))
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: ClassPriors({"a": "1"}), "ClassPriors.probabilities must be dict[str, float]"),
+    (lambda: ClassPriors({"a": None}), "ClassPriors.probabilities must be dict[str, float]"),
+    (lambda: ClassPriors({1: 1.0}), "ClassPriors.probabilities must be dict[str, float]"),
+    (lambda: ClassPriors({"a": True}), "ClassPriors.probabilities must be dict[str, float]"),
+    (lambda: ClassPriors({"a": 1.0}, {"a": 1}, True), "ClassPriors.total must be int | None"),
+    (lambda: GaussianModel(UNCOUNTED, {1: [0.0], "a": [0.0]}, {"a": [1.0]}, 1),
+     "GaussianModel.means must be dict[str, list[float]]"),
+    (lambda: GaussianModel(UNCOUNTED, {"a": [True]}, {"a": [1.0]}, 1),
+     "GaussianModel.means must be dict[str, list[float]]"),
+    (lambda: MultinomialModel(UNCOUNTED, {"a": {0.0: 1.0}}, {"a": 1.0}, 1, 1.0),
+     "MultinomialModel.tf_sums must be dict[str, dict[int, float]]"),
+    (lambda: CategoricalModel(COUNTED, ({"a": {1: 2}},), {"a": 2}, 1.0),
+     "CategoricalModel.value_counts must be tuple[dict[str, dict[str, int]], ...]"),
+    (lambda: StopList("the"), "StopList.words must be frozenset[str]"),
+    (lambda: SparseVector({0: True}, 1), "SparseVector.entries must be dict[int, int | float]"),
+    (lambda: PipelineConfig(ngram_size=2.0), "PipelineConfig.ngram_size must be int"),
+    (lambda: Variant("x", int, len, "binary"), "Variant.weightings must be tuple[str, ...]"),
+], ids=["prior-string", "prior-null", "label-int", "prior-true", "total-true",
+        "means-label-int", "mean-true", "tf-sums-key-float", "value-int",
+        "stop-words-string", "entry-true", "ngram-size-float", "weightings-string"])
+def test_a_value_of_the_wrong_shape_names_the_record_and_field(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_shapes_match_by_exact_type():
+    """A shape's class is matched by exact type, so True is no int and 1 no
+    float; a field shaped object takes any value, and _fields follows _shapes."""
+    assert SparseVector({0: 1, 1: 0.5}, 2).entries == {0: 1, 1: 0.5}
+    for entries, doc_length in (({0: 1}, True), ({True: 1}, 1), ({0: "1"}, 1)):
+        with pytest.raises(ValueError, match=r"^SparseVector\."):
+            SparseVector(entries, doc_length)
+    assert PosteriorReport("any", None, 1, False).posteriors is None
+    for cls in SAMPLES:
+        assert cls._fields == tuple(cls._shapes)
