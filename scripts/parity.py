@@ -232,6 +232,14 @@ MALFORMED = {
     "tf-sums-key-zero-padded": ("sample-multinomial", _respell("ham", "12", "012")),
     "tf-sums-key-suffix": ("sample-multinomial", _respell("spam", "209", "209a")),
     "tf-sums-key-float": ("sample-multinomial", _respell("ham", "1", "1.0")),
+    # keys that one JSON array of the joined keys would read as ids, or as
+    # another count of ids, unless the decoder refuses them itself
+    "tf-sums-key-space-after": ("sample-multinomial", _respell("ham", "12", "12 ")),
+    "tf-sums-key-minus-zero": ("sample-multinomial", _respell("ham", "12", "-0")),
+    "tf-sums-key-exponent": ("sample-multinomial", _respell("ham", "12", "1e1")),
+    "tf-sums-key-arabic-indic": ("sample-multinomial", _respell("ham", "12", "\u0661\u0662")),
+    "tf-sums-key-comma": ("sample-multinomial", _respell("ham", "12", "1,2")),
+    "tf-sums-key-empty": ("sample-multinomial", _respell("ham", "12", "")),
     "stop-words-string": ("sample-multinomial-stem-top5-tfidf-bigrams", _edit_json(
         lambda doc: doc["stop_words"].update(words="ia"))),
     "vocab-size-plus-one": ("sample-multinomial", _edit_json(

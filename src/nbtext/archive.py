@@ -7,7 +7,6 @@ a round-tripped model classifies identically and reproduces log-scores.
 
 import json
 import math
-import operator
 import os
 from collections.abc import Sequence
 
@@ -208,16 +207,19 @@ def _priors_from_payload(payload: dict) -> ClassPriors:
 def _decode_tf_sums(tf_sums: dict) -> dict:
     """tf_sums with its id keys as ints; a key must be the decimal form of its
     int exactly, as json.dumps writes it (no sign, space, underscore or zero
-    padding)."""
+    padding). A class's keys are parsed as one JSON array, which refuses zero
+    padding, ``+``, ``_`` and an empty key; with only ASCII and no ``-`` or
+    whitespace in the keys, as many ints as keys are the keys' own ids."""
     out = {}
     for label, sums in tf_sums.items():
         weights = sums.values()  # first: a table that is no object is malformed
+        keys = ",".join(sums)
         try:
-            ids = list(map(int, sums))
-            decimal = all(map(operator.eq, map(str, ids), sums))
-        except ValueError:
-            decimal = False
-        if not decimal:
+            ids = json.loads(f"[{keys}]")
+        except (ValueError, RecursionError):
+            ids = None
+        if (ids is None or len(ids) != len(sums) or not set(map(type, ids)) <= {int}
+                or not keys.isascii() or any(c in keys for c in "- \t\n\r")):
             raise ValueError(f"tf_sums[{label!r}] keys must be token ids in decimal")
         out[label] = dict(zip(ids, weights))
     return out

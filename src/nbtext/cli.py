@@ -214,7 +214,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    # imported here, so that train and predict never load it or its hashlib
+    # imported here, so that train and predict never load it or its blake2b
     from . import evaluation
 
     settings = _TrainSettings(args)

@@ -6,7 +6,7 @@ by a keyed 64-bit blake2b hash of their index (key derived from the seed)
 and the head of that ordering becomes the test partition.
 """
 
-import hashlib
+from _blake2 import blake2b  # hashlib's own blake2b; hashlib would also load OpenSSL
 from collections.abc import Iterable, Sequence
 
 from .archive import ModelArchive
@@ -30,7 +30,7 @@ __all__ = [
 
 
 def _index_digest(key: bytes, index: int) -> bytes:
-    return hashlib.blake2b(str(index).encode("ascii"), digest_size=8, key=key).digest()
+    return blake2b(str(index).encode("ascii"), digest_size=8, key=key).digest()
 
 
 def split_indices(

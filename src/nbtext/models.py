@@ -11,7 +11,8 @@ conditionals mapping to -inf rather than raising.
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 
 from .record import Record
 from .vectorize import SparseVector, Vocabulary
@@ -438,8 +439,10 @@ def fit_gaussian(
         n = len(rows)
         if n < 2:
             raise ValueError(f"class {lab!r} has fewer than 2 samples")
-        mu = [sum(r[k] for r in rows) / n for k in range(n_features)]
-        var = [sum((r[k] - mu[k]) ** 2 for r in rows) / n for k in range(n_features)]
+        # added left to right on every interpreter: since 3.12 sum() compensates
+        mu = [reduce(add, (r[k] for r in rows), 0) / n for k in range(n_features)]
+        var = [reduce(add, ((r[k] - mu[k]) ** 2 for r in rows), 0) / n
+               for k in range(n_features)]
         means[lab] = mu
         stds[lab] = [max(math.sqrt(v), _SIGMA_FLOOR) for v in var]
     return GaussianModel(priors, means, stds, n_features)

@@ -127,12 +127,13 @@ def read_lines(lines: Iterable[str], name: str = "input") -> Iterator[tuple[int,
         if number == 1:
             line = line.removeprefix("\ufeff")
         if line.strip():
-            # undecodable bytes come as lone surrogates, so each line is checked
-            # as it comes rather than each buffered chunk as it is read
-            try:
-                line.encode(errors="surrogateescape").decode()
-            except UnicodeError as exc:
-                raise ValueError(f"{name}: not UTF-8 text (line {number}: {exc})") from exc
+            # undecodable bytes come as lone surrogates, never ASCII, so each other
+            # line is checked as it comes rather than each buffered chunk as read
+            if not line.isascii():
+                try:
+                    line.encode(errors="surrogateescape").decode()
+                except UnicodeError as exc:
+                    raise ValueError(f"{name}: not UTF-8 text (line {number}: {exc})") from exc
             yield number, line.rstrip("\n")
 
 

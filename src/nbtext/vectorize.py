@@ -41,16 +41,18 @@ WEIGHTING_MODES = (BINARY, RAW_COUNT, NORMALIZED_TF, TFIDF)
 class Vocabulary(Record):
     """Tokens in id order with per-token document frequencies.
 
-    A token's id is its position in ``tokens``: dense, 0-based, assigned in
-    order of first appearance while scanning the training corpus document by
-    document. ``token_to_id``, the token -> id map, is built with the record.
+    A token's id is its position in ``tokens``: dense, 0-based, assigned in order
+    of first appearance over the training corpus. ``token_to_id``, the token -> id
+    map, is the one training assigned the ids with, or else built from ``tokens``.
     """
 
     _shapes = {"tokens": list[str], "document_frequency": list[int], "total_documents": int}
 
     def _check(self):
         tokens, df, total = self._values()
-        self.__dict__["token_to_id"] = ids = dict(zip(tokens, range(len(tokens))))
+        ids = self.__dict__.get("token_to_id")  # set first only by index_streams
+        if ids is None:
+            self.__dict__["token_to_id"] = ids = dict(zip(tokens, range(len(tokens))))
         if len(df) != len(ids):
             raise ValueError("document_frequency length must equal vocabulary size")
         if len(ids) != len(tokens):
@@ -94,12 +96,14 @@ def index_streams(streams: Iterable[list]) -> tuple[list[list[int]], Vocabulary]
     id_lists = [list(map(ids.__getitem__, stream)) for stream in streams]
     if not id_lists:
         raise ValueError("corpus must be non-empty")
-    df = Counter(chain.from_iterable(map(set, id_lists)))
-    df = list(map(df.__getitem__, range(len(ids))))
-    vocab = Vocabulary(list(ids), df, len(id_lists))
-    # the map's ids as the int objects that the id lists, and so the model's
-    # keys, hold: the vocabulary keeps no second int per token
-    vocab.token_to_id.update(ids)
+    # each list's distinct ids in first-appearance order: the counter meets them in id order
+    df = Counter(chain.from_iterable(map(dict.fromkeys, id_lists)))
+    # the vocabulary keeps this map, which holds the id lists' own ints; with no
+    # factory, looking up an absent token raises KeyError and inserts nothing
+    ids.default_factory = None
+    vocab = Vocabulary.__new__(Vocabulary)
+    vocab.__dict__["token_to_id"] = ids
+    vocab.__init__(list(ids), list(df.values()), len(id_lists))
     return id_lists, vocab
 
 

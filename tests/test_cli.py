@@ -742,6 +742,11 @@ class TestPredict:
         ("multinomial", _respell("ham", "12", "012"), "tf_sums['ham'] keys"),
         ("multinomial", _respell("spam", "209", "209a"), "tf_sums['spam'] keys"),
         ("multinomial", _respell("ham", "1", "1.0"), "tf_sums['ham'] keys"),
+        # keys that one JSON array of the joined keys would read as ids, or as
+        # another count of ids, unless the decoder refuses them itself
+        *[("multinomial", _respell("ham", "12", key),
+           "error: tf_sums['ham'] keys must be token ids in decimal\n")
+          for key in ("12 ", "-0", "1e1", "\u0661\u0662", "1,2", "")],
         ("gaussian", lambda doc: doc["parameters"]["means"]["a"].__setitem__(0, 10**400),
          "error: GaussianModel.means must be dict[str, list[float]]\n"),
         # a vocab_size that passes the tf_sums range check, and stop words that
@@ -840,7 +845,9 @@ class TestPredict:
             "n_features-true", "not-utf-8", "class_doc_counts-scaled",
             "class-sizes-scaled", "total_documents-scaled", "class_totals-401-digits",
             "tf_sums-key-signed", "tf_sums-key-underscore", "tf_sums-key-zero-padded",
-            "tf_sums-key-suffix", "tf_sums-key-float", "mean-401-digits",
+            "tf_sums-key-suffix", "tf_sums-key-float", "tf_sums-key-space-after",
+            "tf_sums-key-minus-zero", "tf_sums-key-exponent", "tf_sums-key-arabic-indic",
+            "tf_sums-key-comma", "tf_sums-key-empty", "mean-401-digits",
             "vocab_size-plus-one", "stop-words-string", "stop-words-object",
             "tokens-string", "origin-list", "origin-int", "tokens-repeated",
             "tokens-repeated-df-short", "row-pipeline-vocabulary", "row-stop-words",

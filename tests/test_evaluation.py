@@ -1,5 +1,7 @@
 """Corpus parsing, deterministic splits, and metric computation."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,6 +194,15 @@ class TestSplit:
             split_indices(10, 0.2, 10**72)
         with pytest.raises(ValueError, match="64 bytes"):
             split(_corpus(10), 0.2, seed=-(10**64))
+
+    @pytest.mark.parametrize("seed", [0, 42, -7, 10**63], ids=["0", "42", "negative", "64-chars"])
+    def test_split_is_the_keyed_blake2b_order(self, seed):
+        # the reproducible split, spelt out with hashlib: indices in the order of
+        # a 64-bit blake2b digest of their decimal form, keyed by the seed's
+        key = str(seed).encode("ascii")
+        order = sorted(range(50), key=lambda i: (hashlib.blake2b(
+            str(i).encode("ascii"), digest_size=8, key=key).digest(), i))
+        assert split_indices(50, 0.3, seed) == (sorted(order[15:]), sorted(order[:15]))
 
     @pytest.mark.parametrize("seed", ["x", "7", 1.5, 7.0, True, None])
     def test_seed_that_is_not_an_int_is_refused(self, seed):

@@ -14,8 +14,10 @@ import nbtext.pipeline
 from nbtext.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# modules that train and predict do not run: only evaluate's split needs
-# hashlib, and porter spells out its alphabet rather than import string's
+# modules that train and predict do not run: only evaluate loads
+# nbtext.evaluation, whose split takes blake2b from _blake2 rather than load
+# hashlib and OpenSSL's _hashlib, and porter spells out its alphabet rather
+# than import string's
 NOT_RUN = ("nbtext.evaluation", "hashlib", "_hashlib", "string")
 
 # runs the CLI in a fresh interpreter (started with the given flags) and prints,
@@ -108,6 +110,12 @@ def test_train_with_a_frequency_stop_list_loads_heapq(tmp_path, corpus):
 def test_evaluate_loads_the_evaluation_module(corpus):
     added = _added_modules("evaluate", "--input", corpus, "--variant", "multinomial")
     assert "nbtext.evaluation" in added
+
+
+def test_evaluate_loads_no_hashlib(corpus):
+    # -S runs no site hook that could load hashlib before nbtext is imported
+    argv = ["evaluate", "--input", corpus, "--variant", "multinomial"]
+    assert _added_modules(*argv, watched=["hashlib", "_hashlib"], flags=["-S"]) == []
 
 
 def test_every_export_resolves():

@@ -17,6 +17,7 @@ from nbtext.vectorize import (
     WEIGHTING_MODES,
     build_vocabulary,
     dump_vocabulary,
+    index_streams,
     vectorize,
     weigh,
 )
@@ -248,6 +249,27 @@ class TestAgainstOracle:
         assert list(vocab.token_to_id.items()) == list(token_to_id.items())
         assert vocab.document_frequency == df
         assert vocab.total_documents == n_docs
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans(), st.lists(st.lists(st.integers(0, 399).map("t{}".format),
+                                            max_size=40), min_size=1, max_size=8))
+    def test_index_streams_keeps_the_map_it_assigned_the_ids_with(self, padded, corpus):
+        # a first document of 300 tokens puts most ids past the small ints that
+        # CPython caches, so an id the map holds is the id lists' int only if
+        # the map is the one the lists were built with
+        corpus = [[f"t{i}" for i in range(300)], *corpus] if padded else corpus
+        id_lists, vocab = index_streams(corpus)
+        rebuilt = Vocabulary(vocab.tokens, vocab.document_frequency, vocab.total_documents)
+        assert vocab == rebuilt
+        assert list(vocab.token_to_id.items()) == list(rebuilt.token_to_id.items())
+        for stream, ids in zip(corpus, id_lists):
+            assert all(vocab.token_to_id[tok] is i for tok, i in zip(stream, ids))
+        token_to_id, df, n_docs = vocabulary_oracle(corpus)
+        assert id_lists == [[token_to_id[tok] for tok in stream] for stream in corpus]
+        assert vocab.document_frequency == df and vocab.total_documents == n_docs
+        with pytest.raises(KeyError):
+            vocab.token_to_id["absent"]
+        assert "absent" not in vocab.token_to_id and len(vocab.token_to_id) == len(vocab)
 
     @settings(max_examples=200, deadline=None)
     @given(token_streams, st.lists(st.sampled_from("abcdefghij"), max_size=20))
