@@ -19,7 +19,7 @@ that holds the same inputs under the same relative paths: ``tests/data/sample_me
 600 SMS and 150 topics documents from ``perfbench/corpus.py``, the 20
 ``TEXT_EDGES`` documents, and small CSVs. The matrix trains, predicts
 (``--probs`` on an argument, and over stdin), inspects (``--top-k 3
---dump-vocab``) and evaluates (``--report-out``) with nine text configurations
+--dump-vocab``) and evaluates (``--report-out``) with eleven text configurations
 and both row variants, then runs usage and input errors, and predicts from
 and inspects malformed archives.
 
@@ -53,6 +53,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # run-directory inputs, by relative path
 SAMPLE, SMS, TOPICS = "data/sample.tsv", "data/sms.tsv", "data/topics.tsv"
 SHAPES, NUMERIC, STOP_LIST = "data/shapes.csv", "data/numeric.csv", "data/stop.txt"
+STOP_CAPITALISED = "data/stop-capitalised.txt"  # words spelled as the tokens are only lowercased
 EDGES = "data/text-edges.tsv"
 
 # the edge cases of train's piece table: pieces that strip to nothing, one word
@@ -141,6 +142,7 @@ def write_inputs(run_dir: Path) -> None:
     )
     (data / "numeric.txt").write_text("0 0\n3,-3\n1.5 -1.5\n", "utf-8")
     (run_dir / STOP_LIST).write_text("the\nto\nyou\na\nand\n", "utf-8")
+    (run_dir / STOP_CAPITALISED).write_text("The\nYOU\n", "utf-8")
     (run_dir / EDGES).write_text("".join(f"{a}\t{t}\n" for a, t in TEXT_EDGES), "utf-8")
     (data / "text-edges.txt").write_text("".join(TEXT_EDGE_QUERIES), "utf-8")
 
@@ -153,6 +155,11 @@ TEXT_CONFIGS = (
     ("sample-multinomial-normalized-dict", SAMPLE,
      ["--variant", "multinomial", "--weighting", "normalized_tf", "--alpha", "0.5",
       "--stop-words", f"dict:{STOP_LIST}", "--lowercase", "off"]),
+    ("sample-multinomial-dict-capitalised", SAMPLE,
+     ["--variant", "multinomial", "--stop-words", f"dict:{STOP_CAPITALISED}"]),
+    ("sample-multinomial-dict-capitalised-cased", SAMPLE,
+     ["--variant", "multinomial", "--stop-words", f"dict:{STOP_CAPITALISED}",
+      "--lowercase", "off"]),
     ("sample-bernoulli", SAMPLE, ["--variant", "bernoulli", "--stem", "on"]),
     ("sms-bernoulli", SMS, ["--variant", "bernoulli"]),
     ("sms-multinomial-stem-top20", SMS,

@@ -13,7 +13,6 @@ from nbtext.models import (
     CategoricalModel,
     ClassPriors,
     fit_categorical,
-    log_likelihood,
     posterior_scores,
 )
 
@@ -37,7 +36,7 @@ def main() -> None:
     print(f"query: {QUERY}")
     for label in ("+", "-"):
         prior = model.priors.probabilities[label]
-        likelihood = math.exp(log_likelihood(model, QUERY, label))
+        likelihood = math.exp(model.log_likelihood(QUERY, label))
         print(f"  P({label}) = {prior:.2f}   "
               f"P(x|{label}) = {likelihood:.2f}   "
               f"product = {prior * likelihood:.2f}")

@@ -26,11 +26,11 @@ _SUBMODULES = {
         "BernoulliModel", "CategoricalModel", "ClassPriors", "GaussianModel",
         "MultinomialModel", "PosteriorReport", "classify", "fit_bernoulli",
         "fit_categorical", "fit_gaussian", "fit_multinomial", "fit_priors",
-        "log_likelihood", "posterior_scores",
+        "posterior_scores",
     ),
     "pipeline": (
-        "CorpusFormatError", "LabeledCorpus", "PipelineConfig", "StopList",
-        "load_corpus", "run_pipeline", "tokenize",
+        "CorpusFormatError", "PipelineConfig", "StopList", "load_corpus",
+        "run_pipeline", "tokenize",
     ),
     "porter": ("porter_stem",),
     "vectorize": (

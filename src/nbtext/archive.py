@@ -247,24 +247,24 @@ def _model_from_payload(
 
 def train(
     variant: str,
-    labels: Sequence[str],
-    inputs: Sequence,
+    documents: Sequence[tuple[str, object]],
     alpha: float = 1.0,
     pipeline_config: PipelineConfig = PipelineConfig(),
     weighting: str | None = None,
     stops: StopList | None = None,
 ) -> ModelArchive:
-    """Fit a ``variant`` model and return it as an archive.
+    """Fit a ``variant`` model to (label, input) pairs and return it as an archive.
 
-    ``inputs`` are raw texts for the text variants, weighted by ``weighting``
+    The inputs are raw texts for the text variants, weighted by ``weighting``
     (None: the variant's default); otherwise rows of cells, parsed by the
     cell rule of ``encode``, and the pipeline settings are ignored. A config
     asking for a frequency stop list with ``stops`` None builds it from the
-    texts. The texts are read twice (see ``token_streams``): the text rules run
-    once per distinct whitespace piece, each text then becomes a list of
-    vocabulary ids, and each id list, weighted by ``weigh``, goes straight into
-    the class sums. The model is the one ``fit_bernoulli`` or
-    ``fit_multinomial`` gives over ``build_vocabulary`` and ``vectorize``.
+    texts; a given stop list is spelled as the tokens are. The texts are read
+    twice (see ``token_streams``): the text rules run once per distinct
+    whitespace piece, each text then becomes a list of vocabulary ids, and
+    each id list, weighted by ``weigh``, goes straight into the class sums.
+    The model is the one ``fit_bernoulli`` or ``fit_multinomial`` gives over
+    ``build_vocabulary`` and ``vectorize``.
     Variants that smooth with ``alpha`` need a finite number >= 0 that keeps
     their smoothed denominators finite; the others ignore it. Raises
     ValueError for what the variant does not take.
@@ -274,6 +274,8 @@ def train(
     smoothing = (alpha,) if spec.smoothed else ()
     if smoothing:  # before any counting; the models check the denominators
         check_alpha(alpha)
+    labels = [label for label, _ in documents]
+    inputs = [x for _, x in documents]
     if not spec.text:
         rows = [[spec.cell(v) for v in row] for row in inputs]
         return ModelArchive(variant, spec.fit(rows, labels, *smoothing))

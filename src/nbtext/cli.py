@@ -18,7 +18,6 @@ from .archive import (
 )
 from .models import check_alpha, posterior_scores
 from .pipeline import (
-    LabeledCorpus,
     PipelineConfig,
     load_corpus,
     load_row_corpus,
@@ -163,19 +162,13 @@ class _TrainSettings:
             ngram_size=ngram,
         )
 
-    def load_data(self, path: str) -> LabeledCorpus:
-        """The corpus: raw texts for the text variants, parsed rows otherwise."""
-        if self.spec.text:
-            return load_corpus(path)
-        rows, labels = load_row_corpus(path, self.spec.cell)
-        return LabeledCorpus(tuple(zip(labels, rows)))
+    def load_data(self, path: str) -> list[tuple[str, object]]:
+        """The (label, input) pairs: raw texts for the text variants, parsed rows otherwise."""
+        return load_corpus(path) if self.spec.text else load_row_corpus(path, self.spec.cell)
 
-    def fit(self, corpus: LabeledCorpus) -> ModelArchive:
-        labels = [label for label, _ in corpus.documents]
-        inputs = [x for _, x in corpus.documents]
+    def fit(self, documents: list[tuple[str, object]]) -> ModelArchive:
         stops = load_stop_list(self.stop_path) if self.stop_path else None
-        options = (self.alpha, self.pipeline, self.weighting, stops)
-        return train(self.spec.name, labels, inputs, *options)
+        return train(self.spec.name, documents, self.alpha, self.pipeline, self.weighting, stops)
 
 
 def cmd_train(args) -> int:
@@ -222,9 +215,9 @@ def cmd_evaluate(args) -> int:
         raise _UsageError("--test-fraction must be strictly between 0 and 1")
     if len(str(args.seed)) > 64:  # the split's blake2b key holds at most 64 bytes
         raise _UsageError("--seed must fit in 64 characters, sign included")
-    corpus = settings.load_data(args.input)
-    train_part, test_part = evaluation.split(corpus, args.test_fraction, args.seed)
-    report = evaluation.evaluate(settings.fit(train_part), test_part.documents)
+    documents = settings.load_data(args.input)
+    train_part, test_part = evaluation.split(documents, args.test_fraction, args.seed)
+    report = evaluation.evaluate(settings.fit(train_part), test_part)
     print(f"trained on {len(train_part)} documents, evaluated on {report.n_test}")
     print(evaluation.format_report(report))
     if args.report_out:

@@ -11,12 +11,11 @@ from collections.abc import Iterable, Sequence
 
 from .archive import ModelArchive
 from .models import classify
-from .pipeline import CorpusFormatError, LabeledCorpus, load_corpus, load_row_corpus
+from .pipeline import CorpusFormatError, load_corpus, load_row_corpus
 from .record import Record
 
 __all__ = [
     "CorpusFormatError",
-    "LabeledCorpus",
     "LabelMetrics",
     "EvaluationReport",
     "load_corpus",
@@ -56,15 +55,12 @@ def split_indices(
 
 
 def split(
-    corpus: LabeledCorpus, test_fraction: float, seed: int
-) -> tuple[LabeledCorpus, LabeledCorpus]:
-    """Deterministic train/test partition of a labeled corpus."""
-    train_idx, test_idx = split_indices(len(corpus), test_fraction, seed)
-    docs = corpus.documents
-    return (
-        LabeledCorpus(tuple(docs[i] for i in train_idx)),
-        LabeledCorpus(tuple(docs[i] for i in test_idx)),
-    )
+    documents: Sequence[tuple[str, object]], test_fraction: float, seed: int
+) -> tuple[list, list]:
+    """Deterministic (train, test) partition of (label, input) pairs, each
+    part in corpus order."""
+    train_idx, test_idx = split_indices(len(documents), test_fraction, seed)
+    return [documents[i] for i in train_idx], [documents[i] for i in test_idx]
 
 
 class LabelMetrics(Record):

@@ -34,7 +34,6 @@ __all__ = [
     "multinomial_from_entries",
     "fit_gaussian",
     "gaussian_log_density",
-    "log_likelihood",
     "posterior_scores",
     "classify",
 ]
@@ -466,13 +465,6 @@ class PosteriorReport(Record):
     _shapes = dict.fromkeys(("log_scores", "posteriors", "predicted", "degenerate_evidence"),
                             object)  # posterior_scores alone builds a report
     _defaults = {"degenerate_evidence": False}
-
-
-def log_likelihood(model: NaiveBayesModel, x, label: str) -> float:
-    """Log P(x | label) under the model's variant; -inf on zero conditionals."""
-    if not isinstance(model, NaiveBayesModel):
-        raise TypeError(f"unknown model type: {type(model).__name__}")
-    return model.log_likelihood(x, label)
 
 
 def posterior_scores(model: NaiveBayesModel, x) -> PosteriorReport:

@@ -26,7 +26,6 @@ __all__ = [
     "read_file_lines",
     "read_stdin_lines",
     "CorpusFormatError",
-    "LabeledCorpus",
     "load_corpus",
     "load_row_corpus",
     "ngrams",
@@ -163,19 +162,6 @@ class CorpusFormatError(ValueError):
         self.line_number = line_number
 
 
-class LabeledCorpus(Record):
-    """(label, input) pairs; an input is a text or a row of cells."""
-
-    _shapes = {"documents": tuple[tuple, ...]}
-
-    def _check(self):
-        if not self.documents:
-            raise ValueError("corpus must contain at least one document")
-
-    def __len__(self):
-        return len(self.documents)
-
-
 def _labeled_lines(path, sep: str, expected: str) -> Iterator[tuple[int, str, str]]:
     """Yield ``(line number, label, rest)`` per line, split at the first ``sep``."""
     lineno = 0
@@ -188,27 +174,26 @@ def _labeled_lines(path, sep: str, expected: str) -> Iterator[tuple[int, str, st
         raise CorpusFormatError(path, 0, "empty corpus")
 
 
-def load_corpus(path: str | os.PathLike) -> LabeledCorpus:
-    """Parse a "label<TAB>text" file, one document per line of ``read_file_lines``."""
-    lines = _labeled_lines(path, "\t", "label<TAB>text")
-    return LabeledCorpus(tuple((label, text) for _, label, text in lines))
+def load_corpus(path: str | os.PathLike) -> list[tuple[str, str]]:
+    """Parse a "label<TAB>text" file into (label, text) pairs, one per line of
+    ``read_file_lines``."""
+    return [(label, text) for _, label, text in _labeled_lines(path, "\t", "label<TAB>text")]
 
 
-def load_row_corpus(path: str | os.PathLike, cell=str) -> tuple[list[list], list[str]]:
-    """Parse "label,v1,v2,..." lines into rows of cells and labels. Each cell
+def load_row_corpus(path: str | os.PathLike, cell=str) -> list[tuple[str, list]]:
+    """Parse "label,v1,v2,..." lines into (label, row of cells) pairs. Each cell
     goes through ``cell``; its ValueError is reported at the line number."""
-    rows, labels = [], []
+    documents = []
     for lineno, label, rest in _labeled_lines(path, ",", "label,v1,..."):
         values = [v.strip() for v in rest.split(",")]
-        if rows and len(values) != len(rows[0]):
-            message = f"expected {len(rows[0])} feature values, got {len(values)}"
+        if documents and len(values) != len(documents[0][1]):
+            message = f"expected {len(documents[0][1])} feature values, got {len(values)}"
             raise CorpusFormatError(path, lineno, message)
         try:
-            rows.append([cell(v) for v in values])
+            documents.append((label, [cell(v) for v in values]))
         except ValueError as exc:
             raise CorpusFormatError(path, lineno, str(exc)) from exc
-        labels.append(label)
-    return rows, labels
+    return documents
 
 
 def load_stop_list(path: str | os.PathLike) -> StopList:
@@ -266,14 +251,17 @@ def token_streams(
     texts: Sequence[str], config: PipelineConfig, stops: StopList | None = None
 ) -> tuple[Iterator[list], StopList | None]:
     """Each text's stream as ``run_pipeline`` gives it, lazily, and the stop
-    list: ``stops``, or for a frequency config given none, the one
-    ``build_stop_list`` gives over the texts' tokens. The rules run once per
-    distinct whitespace piece: a table maps each to its token before n-grams
-    ("" if dropped), and is freed with the last stream."""
+    list: ``stops`` spelled as tokens are, each word trimmed and lowercased as
+    ``config`` asks and dropped if that empties it, or for a frequency config
+    given none, the one ``build_stop_list`` gives over the texts' tokens. The
+    rules run once per distinct whitespace piece: a table maps each to its
+    token before n-grams ("" if dropped), and is freed with the last stream."""
     table = Counter(chain.from_iterable(map(str.split, texts)))
     pieces = list(table)
     tokens = _clean(pieces, config)
-    if stops is None and config.stop_word_mode == "frequency":
+    if stops is not None:
+        stops = StopList(frozenset(filter(None, _clean(list(stops.words), config))), stops.origin)
+    elif config.stop_word_mode == "frequency":
         counts = defaultdict(int)
         for token, n in zip(tokens, table.values()):
             counts[token] += n

@@ -26,7 +26,6 @@ from nbtext.models import (
     fit_gaussian,
     fit_multinomial,
     gaussian_log_density,
-    log_likelihood,
     posterior_scores,
 )
 from nbtext.pipeline import PipelineConfig, build_stop_list, run_pipeline, tokenize
@@ -65,8 +64,8 @@ def test_criterion_01_worked_example_golden_values(toy_shapes):
 
     prior_pos = model.priors.probabilities["+"]
     prior_neg = model.priors.probabilities["-"]
-    lik_pos = math.exp(log_likelihood(model, QUERY, "+"))
-    lik_neg = math.exp(log_likelihood(model, QUERY, "-"))
+    lik_pos = math.exp(model.log_likelihood(QUERY, "+"))
+    lik_neg = math.exp(model.log_likelihood(QUERY, "-"))
     joint_pos = math.exp(report.log_scores["+"])
     joint_neg = math.exp(report.log_scores["-"])
 
@@ -107,7 +106,7 @@ def test_criterion_03_two_token_spam_likelihood():
     assert abs(model.conditional("spam", 0) - 20 / 100) <= 1e-12
     assert abs(model.conditional("spam", 1) - 2 / 100) <= 1e-12
     message = SparseVector({0: 1, 1: 1}, 2)
-    likelihood = math.exp(log_likelihood(model, message, "spam"))
+    likelihood = math.exp(model.log_likelihood(message, "spam"))
     assert abs(likelihood - 0.004) <= 1e-12
 
 
@@ -344,14 +343,14 @@ def test_criterion_12_sms_corpus_end_to_end():
     assert len(corpus) == 5574
     train, test = split(corpus, test_fraction=0.2, seed=42)
     config = PipelineConfig()
-    streams = [run_pipeline(text, config) for _, text in train.documents]
+    streams = [run_pipeline(text, config) for _, text in train]
     vocab = build_vocabulary(streams)
     vectors = [vectorize(s, vocab, RAW_COUNT) for s in streams]
     model = fit_multinomial(
-        vectors, [label for label, _ in train.documents], vocab, alpha=1.0
+        vectors, [label for label, _ in train], vocab, alpha=1.0
     )
     report = evaluate(
-        ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test.documents
+        ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test
     )
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -365,14 +364,14 @@ def test_criterion_13_archive_round_trip_fidelity(tmp_path, data_dir):
     config = PipelineConfig(stemming=True, stop_word_mode="frequency",
                             frequency_top_n=5)
     raw_streams = [
-        tokenize(text, config) for _, text in corpus.documents
+        tokenize(text, config) for _, text in corpus
     ]
     stops = build_stop_list(raw_streams, 5)
-    streams = [run_pipeline(text, config, stops) for _, text in corpus.documents]
+    streams = [run_pipeline(text, config, stops) for _, text in corpus]
     vocab = build_vocabulary(streams)
     vectors = [vectorize(s, vocab, TFIDF) for s in streams]
     model = fit_multinomial(
-        vectors, [label for label, _ in corpus.documents], vocab, alpha=0.5
+        vectors, [label for label, _ in corpus], vocab, alpha=0.5
     )
     original = ModelArchive("multinomial", model, config, vocab, TFIDF, stops)
     path = tmp_path / "model.json"
@@ -380,7 +379,7 @@ def test_criterion_13_archive_round_trip_fidelity(tmp_path, data_dir):
     loaded = load_archive(path)
 
     rng = random.Random(130013)
-    words = sorted({w for _, text in corpus.documents for w in text.lower().split()})
+    words = sorted({w for _, text in corpus for w in text.lower().split()})
     words += ["zebra", "quux", "xylophone"]
     for _ in range(1000):
         probe = " ".join(rng.choice(words) for _ in range(rng.randint(1, 12)))

@@ -54,8 +54,8 @@ from nbtext.vectorize import (
 def _text_archive(data_dir, variant, weighting, config=None, stops=None):
     corpus = load_corpus(data_dir / "sample_messages.tsv")
     config = config or PipelineConfig()
-    labels = [label for label, _ in corpus.documents]
-    streams = [run_pipeline(text, config, stops) for _, text in corpus.documents]
+    labels = [label for label, _ in corpus]
+    streams = [run_pipeline(text, config, stops) for _, text in corpus]
     vocab = build_vocabulary(streams)
     vecs = [vectorize(s, vocab, weighting) for s in streams]
     if variant == "bernoulli":
@@ -216,14 +216,14 @@ def test_a_model_that_has_scored_pickles_and_copies(data_dir, toy_shapes, varian
     linear_form holds a closure, which pickle cannot take); a copy is rebuilt
     from the fields and scores alike."""
     if VARIANTS[variant].text:
-        labels, inputs = zip(*load_corpus(data_dir / "sample_messages.tsv").documents)
+        documents = load_corpus(data_dir / "sample_messages.tsv")
         query = "free prize call now"
     elif variant == "categorical":
-        inputs, labels = toy_shapes
+        documents = _training_data(variant, data_dir, toy_shapes)
         query = "blue,square"
     else:
-        inputs, labels, query = [[0.0], [1.0], [5.0], [6.0]], ["a", "a", "b", "b"], "2.5"
-    archive = train(variant, labels, inputs)
+        documents, query = [("a", [0.0]), ("a", [1.0]), ("b", [5.0]), ("b", [6.0])], "2.5"
+    archive = train(variant, documents)
     x = archive.encode(query)
     scores = posterior_scores(archive.model, x).log_scores
     for copied in (pickle.loads(pickle.dumps(archive)), copy.deepcopy(archive)):
@@ -259,12 +259,10 @@ def test_train_matches_hand_built_archive(
     corpus = load_corpus(data_dir / "sample_messages.tsv")
     stops = None
     if config.stop_word_mode == "frequency":
-        tokenized = [tokenize(text, config) for _, text in corpus.documents]
+        tokenized = [tokenize(text, config) for _, text in corpus]
         stops = build_stop_list(tokenized, config.frequency_top_n)
     expected, _ = _text_archive(data_dir, variant, weighting, config, stops)
-    labels = [label for label, _ in corpus.documents]
-    texts = [text for _, text in corpus.documents]
-    trained = train(variant, labels, texts, 1.0, config, weighting)
+    trained = train(variant, corpus, 1.0, config, weighting)
     save_archive(expected, tmp_path / "expected.json")
     save_archive(trained, tmp_path / "trained.json")
     assert (tmp_path / "trained.json").read_bytes() == (
@@ -273,15 +271,14 @@ def test_train_matches_hand_built_archive(
 
 
 def _training_data(variant, data_dir, toy_shapes):
+    """The variant's (label, input) pairs."""
     if variant == "categorical":
         samples, labels = toy_shapes
-        return labels, samples
+        return list(zip(labels, samples))
     if variant == "gaussian":
         rng = random.Random(9)
-        rows = [[rng.gauss(0, 1), rng.gauss(5, 2)] for _ in range(20)]
-        return ["a" if i % 2 else "b" for i in range(20)], rows
-    corpus = load_corpus(data_dir / "sample_messages.tsv")
-    return [lab for lab, _ in corpus.documents], [t for _, t in corpus.documents]
+        return [("a" if i % 2 else "b", [rng.gauss(0, 1), rng.gauss(5, 2)]) for i in range(20)]
+    return load_corpus(data_dir / "sample_messages.tsv")
 
 
 @pytest.mark.parametrize("variant,weighting", [
@@ -293,8 +290,8 @@ def _training_data(variant, data_dir, toy_shapes):
 def test_save_load_save_is_byte_identical(
     tmp_path, data_dir, toy_shapes, variant, weighting
 ):
-    labels, inputs = _training_data(variant, data_dir, toy_shapes)
-    archive = train(variant, labels, inputs, 0.5, STEM_TOP5_BIGRAMS, weighting)
+    documents = _training_data(variant, data_dir, toy_shapes)
+    archive = train(variant, documents, 0.5, STEM_TOP5_BIGRAMS, weighting)
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     save_archive(archive, first)
     save_archive(load_archive(first), second)
@@ -302,9 +299,8 @@ def test_save_load_save_is_byte_identical(
 
 
 def test_train_rejects_unknown_variant(toy_shapes):
-    samples, labels = toy_shapes
     with pytest.raises(ValueError, match="variant"):
-        train("quantum", labels, samples)
+        train("quantum", _training_data("categorical", None, toy_shapes))
 
 
 @pytest.mark.parametrize("section", ["pipeline_config", "vocab", "stops"])
@@ -338,18 +334,18 @@ def test_archive_refuses_a_weighting_its_variant_does_not_take(data_dir):
 
 def test_archive_refuses_stop_word_removal_without_a_stop_list(data_dir):
     # the text step would refuse every document; the archive is refused first
-    labels, texts = zip(*load_corpus(data_dir / "sample_messages.tsv").documents)
-    archive = train("multinomial", labels, texts, 1.0, STEM_TOP5_BIGRAMS)
+    archive = train("multinomial", load_corpus(data_dir / "sample_messages.tsv"), 1.0,
+                    STEM_TOP5_BIGRAMS)
     with pytest.raises(ValueError, match="stop_word_mode='frequency' requires a stop list"):
         ModelArchive(archive.variant, archive.model, archive.pipeline_config, archive.vocab,
                      archive.weighting)
 
 
 def test_train_resolves_the_default_weighting(tmp_path, data_dir):
-    labels, texts = _training_data("multinomial", data_dir, None)
-    save_archive(train("multinomial", labels, texts), tmp_path / "default.json")
+    documents = _training_data("multinomial", data_dir, None)
+    save_archive(train("multinomial", documents), tmp_path / "default.json")
     save_archive(
-        train("multinomial", labels, texts, weighting=RAW_COUNT),
+        train("multinomial", documents, weighting=RAW_COUNT),
         tmp_path / "explicit.json",
     )
     assert (tmp_path / "default.json").read_bytes() == (
@@ -367,9 +363,9 @@ def test_train_resolves_the_default_weighting(tmp_path, data_dir):
 def test_train_rejects_a_weighting_the_variant_does_not_take(
     data_dir, toy_shapes, variant, weighting
 ):
-    labels, inputs = _training_data(variant, data_dir, toy_shapes)
+    documents = _training_data(variant, data_dir, toy_shapes)
     with pytest.raises(ValueError, match="weighting"):
-        train(variant, labels, inputs, weighting=weighting)
+        train(variant, documents, weighting=weighting)
 
 
 @pytest.mark.parametrize("variant", ["categorical", "multinomial"])
@@ -377,44 +373,45 @@ def test_train_rejects_a_weighting_the_variant_does_not_take(
 def test_train_rejects_alpha_that_is_not_a_finite_number(
     data_dir, toy_shapes, variant, alpha
 ):
-    labels, inputs = _training_data(variant, data_dir, toy_shapes)
+    documents = _training_data(variant, data_dir, toy_shapes)
     with pytest.raises(ValueError, match="alpha"):
-        train(variant, labels, inputs, alpha)
+        train(variant, documents, alpha)
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 @pytest.mark.parametrize("pair", [
-    lambda labels, inputs: (labels[:-1], inputs),
-    lambda labels, inputs: (labels, inputs[:-1]),
+    lambda label, x: (x,),
+    lambda label, x: (label,),
 ], ids=["fewer-labels", "fewer-inputs"])
 def test_train_refuses_inputs_and_labels_of_different_lengths(
     data_dir, toy_shapes, variant, pair
 ):
-    labels, inputs = pair(*_training_data(variant, data_dir, toy_shapes))
+    """A document that lacks its label or its input is no (label, input) pair."""
+    documents = _training_data(variant, data_dir, toy_shapes)
     with pytest.raises(ValueError):
-        train(variant, labels, inputs)
+        train(variant, documents[:-1] + [pair(*documents[-1])])
 
 
 @pytest.mark.parametrize("variant", ["bernoulli", "gaussian"])
 def test_unsmoothed_variants_ignore_alpha(tmp_path, data_dir, toy_shapes, variant):
-    labels, inputs = _training_data(variant, data_dir, toy_shapes)
-    save_archive(train(variant, labels, inputs, 1.0), tmp_path / "one.json")
-    save_archive(train(variant, labels, inputs, math.inf), tmp_path / "inf.json")
+    documents = _training_data(variant, data_dir, toy_shapes)
+    save_archive(train(variant, documents, 1.0), tmp_path / "one.json")
+    save_archive(train(variant, documents, math.inf), tmp_path / "inf.json")
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "inf.json").read_bytes()
 
 
 def test_train_parses_row_cells_as_encode_does(tmp_path):
-    labels = ["a", "a", "b", "b"]
-    archive = train("categorical", labels, [[1, 2], [1, 3], [4, 2], [4, 4]], 0.5)
+    archive = train("categorical", [("a", [1, 2]), ("a", [1, 3]), ("b", [4, 2]), ("b", [4, 4])],
+                    0.5)
     save_archive(archive, tmp_path / "m.json")
     loaded = load_archive(tmp_path / "m.json")
     for row in ([1, 2], [4, 3], "1,3"):
         a = posterior_scores(archive.model, archive.encode(row))
         b = posterior_scores(loaded.model, loaded.encode(row))
         assert a.predicted == b.predicted and a.log_scores == b.log_scores
-    rows = [[0.0, 1.0], [0.5, 1.5], [5.0, 5.0], [float("nan"), 6.0]]
+    rows = [("a", [0.0, 1.0]), ("a", [0.5, 1.5]), ("b", [5.0, 5.0]), ("b", [float("nan"), 6.0])]
     with pytest.raises(ValueError, match="finite"):
-        train("gaussian", labels, rows)
+        train("gaussian", rows)
 
 
 @pytest.mark.parametrize("variant,weighting", [
@@ -424,10 +421,11 @@ def test_train_parses_row_cells_as_encode_does(tmp_path):
 def test_bernoulli_round_trip_reproduces_log_scores_exactly(
     tmp_path, data_dir, variant, weighting
 ):
-    labels, texts = _training_data(variant, data_dir, None)
-    archive = train(variant, labels, texts, weighting=weighting)
+    documents = _training_data(variant, data_dir, None)
+    archive = train(variant, documents, weighting=weighting)
     save_archive(archive, tmp_path / "model.json")
     loaded = load_archive(tmp_path / "model.json")
+    texts = [text for _, text in documents]
     for text in texts + ["", "zzzz qqqq", "free prize free prize call now"]:
         a = posterior_scores(archive.model, archive.encode(text))
         b = posterior_scores(loaded.model, loaded.encode(text))
@@ -436,8 +434,8 @@ def test_bernoulli_round_trip_reproduces_log_scores_exactly(
 
 def test_constant_feature_keeps_the_sigma_floor(tmp_path):
     # the floor is 1e-9, so one unit from a constant feature is z = 1e9
-    rows = [[3.0, 0.0], [3.0, 1.0], [3.0, 5.0], [3.0, 6.0]]
-    save_archive(train("gaussian", ["a", "a", "b", "b"], rows), tmp_path / "m.json")
+    rows = [("a", [3.0, 0.0]), ("a", [3.0, 1.0]), ("b", [3.0, 5.0]), ("b", [3.0, 6.0])]
+    save_archive(train("gaussian", rows), tmp_path / "m.json")
     model = load_archive(tmp_path / "m.json").model
     assert model.stds["a"][0] == model.stds["b"][0] == 1e-9
     at_mean = posterior_scores(model, [3.0, 0.5]).log_scores["a"]
@@ -447,14 +445,14 @@ def test_constant_feature_keeps_the_sigma_floor(tmp_path):
 
 def test_archive_bytes_match_the_stream_encoder(tmp_path):
     # non-ASCII tokens, tf-idf float sums and a frequency stop list
-    texts = [
-        "Café naïve ÜBER straße! free prize",
-        "日本語 «quoted» café, free",
-        "free prize: WIN a café now",
-        "Straße über alles; naïve naïve",
+    documents = [
+        ("a", "Café naïve ÜBER straße! free prize"),
+        ("b", "日本語 «quoted» café, free"),
+        ("b", "free prize: WIN a café now"),
+        ("a", "Straße über alles; naïve naïve"),
     ]
     config = PipelineConfig(stop_word_mode="frequency", frequency_top_n=2)
-    archive = train("multinomial", ["a", "b", "b", "a"], texts, 0.5, config, TFIDF)
+    archive = train("multinomial", documents, 0.5, config, TFIDF)
     path = tmp_path / "model.json"
     save_archive(archive, path)
     text = path.read_text(encoding="utf-8")
@@ -508,7 +506,8 @@ def test_frequency_train_matches_the_two_pass_reference(
         return ModelArchive(variant, model, config, vocab, weighting, stops)
 
     expected = _outcome(reference)
-    assert _outcome(lambda: train(variant, labels, texts, 1.0, config)) == expected
+    documents = list(zip(labels, texts))
+    assert _outcome(lambda: train(variant, documents, 1.0, config)) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -557,7 +556,8 @@ def test_train_matches_the_per_text_reference(
         return ModelArchive(variant, model, config, vocab, weighting, stops)
 
     expected = _outcome(reference)
-    fit = _outcome(lambda: train(variant, labels, texts, 1.0, config, weighting, stops))
+    documents = list(zip(labels, texts))
+    fit = _outcome(lambda: train(variant, documents, 1.0, config, weighting, stops))
     assert fit == expected
 
 
@@ -584,8 +584,8 @@ def _golden_path(data_dir, variant, weighting, name):
 
 @pytest.mark.parametrize("variant,weighting,name", GOLDEN_CASES)
 def test_train_reproduces_the_golden_archive(tmp_path, data_dir, variant, weighting, name):
-    labels, texts = _training_data(variant, data_dir, None)
-    archive = train(variant, labels, texts, 1.0, GOLDEN_CONFIGS[name], weighting)
+    documents = _training_data(variant, data_dir, None)
+    archive = train(variant, documents, 1.0, GOLDEN_CONFIGS[name], weighting)
     save_archive(archive, tmp_path / "model.json")
     golden = _golden_path(data_dir, variant, weighting, name)
     assert (tmp_path / "model.json").read_bytes() == golden.read_bytes()
@@ -654,7 +654,7 @@ def test_train_counts_as_fit_over_vectorize(
     else:
         model = fit_multinomial(vecs, labels, vocab, alpha)
     expected = ModelArchive(variant, model, config, vocab, weighting, stops)
-    trained = train(variant, labels, texts, alpha, config, weighting)
+    trained = train(variant, list(zip(labels, texts)), alpha, config, weighting)
     assert _text_fields(trained) == _text_fields(expected)
 
 
@@ -668,12 +668,31 @@ def test_train_stems_each_distinct_word_once(monkeypatch):
         return word.removesuffix("s")
 
     monkeypatch.setattr("nbtext.pipeline.porter_stem", counting_stem)
-    texts = ["the cats ran", "the dogs ran", "cats and dogs", "the birds ran"]
+    documents = [("a", "the cats ran"), ("b", "the dogs ran"), ("a", "cats and dogs"),
+                 ("b", "the birds ran")]
     config = PipelineConfig(stop_word_mode="dictionary", stemming=True)
     stops = StopList(frozenset({"the", "and"}))
-    archive = train("multinomial", ["a", "b", "a", "b"], texts, 1.0, config, None, stops)
+    archive = train("multinomial", documents, 1.0, config, None, stops)
     assert sorted(calls) == ["birds", "cats", "dogs", "ran"]
     assert archive.vocab.tokens == ["cat", "ran", "dog", "bird"]
+
+
+@pytest.mark.parametrize("lowercase,kept,left", [
+    (True, {"the", "you", "call"}, set()),
+    (False, {"The", "YOU", "Call"}, {"the", "you", "You", "call"}),
+])
+def test_train_spells_a_given_stop_list_as_the_tokens(tmp_path, data_dir, lowercase, kept, left):
+    """A given stop list's words are trimmed and lowercased as the tokens are,
+    and dropped if that empties them; the archive keeps the list train removed."""
+    stops = StopList(frozenset({"The", "YOU", "(...)", "«Call»"}))
+    config = PipelineConfig(lowercase=lowercase, stop_word_mode="dictionary")
+    corpus = load_corpus(data_dir / "sample_messages.tsv")
+    archive = train("multinomial", corpus, 1.0, config, None, stops)
+    assert archive.stops == StopList(frozenset(kept))
+    tokens = set(archive.vocab.tokens)
+    assert not tokens & kept and left <= tokens
+    save_archive(archive, tmp_path / "m.json")
+    assert load_archive(tmp_path / "m.json").encode_text("The YOU Call").entries == {}
 
 
 @pytest.mark.parametrize("variant", ["categorical", "multinomial"])
@@ -690,9 +709,9 @@ def test_train_refuses_a_bad_alpha_before_it_counts(
     monkeypatch.setitem(VARIANTS, "categorical", Variant(
         spec.name, spec.model_class, no_counting, spec.weightings, spec.smoothed, no_counting
     ))
-    labels, inputs = _training_data(variant, data_dir, toy_shapes)
+    documents = _training_data(variant, data_dir, toy_shapes)
     with pytest.raises(ValueError, match="alpha"):
-        train(variant, labels, inputs, math.nan)
+        train(variant, documents, math.nan)
 
 
 def test_train_refuses_a_bad_alpha_before_it_reads_a_text(monkeypatch, data_dir):
@@ -700,9 +719,9 @@ def test_train_refuses_a_bad_alpha_before_it_reads_a_text(monkeypatch, data_dir)
         raise AssertionError("train read the texts before it checked alpha")
 
     monkeypatch.setattr("nbtext.archive.token_streams", no_counting)
-    labels, inputs = _training_data("multinomial", data_dir, None)
+    documents = _training_data("multinomial", data_dir, None)
     with pytest.raises(ValueError, match="alpha"):
-        train("multinomial", labels, inputs, math.nan)
+        train("multinomial", documents, math.nan)
 
 
 # ways the drawn counts, shares, total or table labels disagree; None: they agree

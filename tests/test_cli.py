@@ -14,13 +14,7 @@ import pytest
 
 from nbtext.archive import VARIANTS, finite_float, load_archive, save_archive, train
 from nbtext.cli import main
-from nbtext.evaluation import (
-    LabeledCorpus,
-    evaluate,
-    load_corpus,
-    load_row_corpus,
-    split,
-)
+from nbtext.evaluation import evaluate, load_corpus, load_row_corpus, split
 from nbtext.pipeline import PipelineConfig
 from nbtext.vectorize import BINARY, RAW_COUNT, WEIGHTING_MODES
 
@@ -184,6 +178,25 @@ class TestTrain:
         stops = tmp_path / "stops.txt"
         stops.write_text("# noise\nthe\na\nto\n", encoding="utf-8")
         _train(tmp_path, corpus_path, "--stop-words", f"dict:{stops}")
+
+    @pytest.mark.parametrize("lowercase,words,left", [
+        ("on", ["the", "you"], set()),
+        ("off", ["The", "YOU"], {"the", "you", "You"}),
+    ])
+    def test_dictionary_stop_words_are_spelled_as_tokens(
+        self, tmp_path, corpus_path, lowercase, words, left
+    ):
+        """A dict: word is lowercased as the tokens are, so it matches them
+        unless --lowercase is off; the archive holds the words as matched."""
+        stops = tmp_path / "stops.txt"
+        stops.write_text("The\nYOU\n", encoding="utf-8")
+        model_path = _train(tmp_path, corpus_path, "--stop-words", f"dict:{stops}",
+                            "--lowercase", lowercase)
+        archive = load_archive(model_path)
+        assert sorted(archive.stops.words) == words
+        tokens = set(archive.vocab.tokens)
+        assert not tokens & set(words) and left <= tokens
+        assert archive.encode_text("The").entries == {}  # as predict reads it
 
     def test_undecodable_stop_list_named(self, tmp_path, corpus_path, capsys):
         stops = tmp_path / "stops.txt"
@@ -1030,15 +1043,7 @@ class TestEvaluate:
         )
         assert code == 0
         train_part, test_part = split(load_corpus(corpus_path), 0.25, 5)
-        archive = train(
-            variant,
-            [label for label, _ in train_part.documents],
-            [text for _, text in train_part.documents],
-            1.0,
-            config,
-            weighting,
-        )
-        expected = evaluate(archive, test_part.documents)
+        expected = evaluate(train(variant, train_part, 1.0, config, weighting), test_part)
         doc = json.loads(report_path.read_text(encoding="utf-8"))
         assert doc == expected.to_json_dict()
         assert f"trained on {len(train_part)} documents" in capsys.readouterr().out
@@ -1057,12 +1062,7 @@ class TestEvaluate:
             return
         # a seed that fits splits as split() does with it
         train_part, test_part = split(load_corpus(corpus_path), 0.2, int(seed))
-        archive = train(
-            "multinomial",
-            [label for label, _ in train_part.documents],
-            [text for _, text in train_part.documents],
-        )
-        expected = evaluate(archive, test_part.documents).to_json_dict()
+        expected = evaluate(train("multinomial", train_part), test_part).to_json_dict()
         assert json.loads(report_path.read_text(encoding="utf-8")) == expected
 
     @pytest.mark.parametrize("variant,cell", [("categorical", str),
@@ -1084,14 +1084,8 @@ class TestEvaluate:
             ["evaluate", "--input", str(path), "--variant", variant,
              "--test-fraction", "0.25", "--seed", "8", "--report-out", str(report_path)]
         ) == 0
-        rows, labels = load_row_corpus(path, cell)
-        train_part, test_part = split(LabeledCorpus(tuple(zip(labels, rows))), 0.25, 8)
-        archive = train(
-            variant,
-            [label for label, _ in train_part.documents],
-            [row for _, row in train_part.documents],
-        )
-        expected = evaluate(archive, test_part.documents)
+        train_part, test_part = split(load_row_corpus(path, cell), 0.25, 8)
+        expected = evaluate(train(variant, train_part), test_part)
         assert json.loads(report_path.read_text(encoding="utf-8")) == expected.to_json_dict()
         out = capsys.readouterr().out
         assert out.startswith(f"trained on {len(train_part)} documents, evaluated on 10\n")
@@ -1241,15 +1235,14 @@ def test_cli_and_train_enforce_one_rule_set(
     usage error for a variant that does not smooth; train ignores alpha there."""
     if variant == "categorical":
         path = toy_csv_path
-        inputs, labels = load_row_corpus(path, str)
+        documents = load_row_corpus(path, str)
     elif variant == "gaussian":
         path = tmp_path / "numeric.csv"
         path.write_text("a,0,0\na,1,1\nb,5,5\nb,6,6\n", encoding="utf-8")
-        inputs, labels = load_row_corpus(path, finite_float)
+        documents = load_row_corpus(path, finite_float)
     else:
         path = corpus_path
-        documents = load_corpus(path).documents
-        labels, inputs = [y for y, _ in documents], [x for _, x in documents]
+        documents = load_corpus(path)
     smoothed = VARIANTS[variant].smoothed
     for weighting in (None, *WEIGHTING_MODES):
         for alpha in (None, "0", "0.5", "-1", "inf", "nan"):
@@ -1263,7 +1256,7 @@ def test_cli_and_train_enforce_one_rule_set(
                 assert code == 2, argv
                 continue
             try:
-                train(variant, labels, inputs, float(alpha or 1.0), weighting=weighting)
+                train(variant, documents, float(alpha or 1.0), weighting=weighting)
                 expected = 0
             except ValueError:
                 expected = 2

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from nbtext.archive import ModelArchive, finite_float
 from nbtext.evaluation import (
     CorpusFormatError,
-    LabeledCorpus,
     evaluate,
     load_corpus,
     load_row_corpus,
@@ -32,11 +31,10 @@ def _write(tmp_path, name, content):
 class TestLoadCorpus:
     def test_single_line(self, tmp_path):
         path = _write(tmp_path, "c.tsv", "ham\tOk lar...\n")
-        corpus = load_corpus(path)
-        assert corpus.documents == (("ham", "Ok lar..."),)
+        assert load_corpus(path) == [("ham", "Ok lar...")]
         # a byte-order mark before line 1 is not part of the label
         path = _write(tmp_path, "c.tsv", "\ufeffham\tOk lar...\n")
-        assert load_corpus(path).documents == corpus.documents
+        assert load_corpus(path) == [("ham", "Ok lar...")]
 
     def test_missing_tab_reports_line_number(self, tmp_path):
         path = _write(tmp_path, "c.tsv", "ham\tfine\nspamFree entry\n")
@@ -62,16 +60,12 @@ class TestLoadCorpus:
 
     def test_text_may_contain_tabs(self, tmp_path):
         path = _write(tmp_path, "c.tsv", "ham\ta\tb\n")
-        assert load_corpus(path).documents == (("ham", "a\tb"),)
+        assert load_corpus(path) == [("ham", "a\tb")]
 
     def test_empty_file_rejected(self, tmp_path):
         path = _write(tmp_path, "c.tsv", "")
         with pytest.raises(CorpusFormatError):
             load_corpus(path)
-
-    def test_corpus_without_documents_rejected(self):
-        with pytest.raises(ValueError, match="at least one document"):
-            LabeledCorpus(())
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -79,18 +73,17 @@ class TestLoadCorpus:
 
     def test_sample_corpus_parses(self, data_dir):
         corpus = load_corpus(data_dir / "sample_messages.tsv")
-        assert {label for label, _ in corpus.documents} == {"ham", "spam"}
+        assert {label for label, _ in corpus} == {"ham", "spam"}
         assert len(corpus) == 60
 
 
 class TestCsvCorpora:
     def test_categorical(self, tmp_path):
         path = _write(tmp_path, "c.csv", "+,blue,square\n-,red,circle\n")
-        samples, labels = load_row_corpus(path, str)
-        assert samples == [["blue", "square"], ["red", "circle"]]
-        assert labels == ["+", "-"]
+        documents = [("+", ["blue", "square"]), ("-", ["red", "circle"])]
+        assert load_row_corpus(path, str) == documents
         path = _write(tmp_path, "c.csv", "\ufeff+,blue,square\n-,red,circle\n")
-        assert load_row_corpus(path, str) == (samples, labels)
+        assert load_row_corpus(path, str) == documents
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = _write(tmp_path, "c.csv", "+,blue,square\n-,red\n")
@@ -109,11 +102,10 @@ class TestCsvCorpora:
 
     def test_numeric(self, tmp_path):
         path = _write(tmp_path, "c.csv", "a,1.5,2\nb,-3,0.25\n")
-        rows, labels = load_row_corpus(path, finite_float)
-        assert rows == [[1.5, 2.0], [-3.0, 0.25]]
-        assert labels == ["a", "b"]
+        documents = [("a", [1.5, 2.0]), ("b", [-3.0, 0.25])]
+        assert load_row_corpus(path, finite_float) == documents
         path = _write(tmp_path, "c.csv", "\ufeffa,1.5,2\nb,-3,0.25\n")
-        assert load_row_corpus(path, finite_float) == (rows, labels)
+        assert load_row_corpus(path, finite_float) == documents
 
     def test_non_numeric_rejected(self, tmp_path):
         path = _write(tmp_path, "c.csv", "a,1.5,x\n")
@@ -135,7 +127,7 @@ class TestCsvCorpora:
 
 
 def _corpus(n):
-    return LabeledCorpus(tuple((f"l{i % 2}", f"text {i}") for i in range(n)))
+    return [(f"l{i % 2}", f"text {i}") for i in range(n)]
 
 
 class TestSplit:
@@ -143,8 +135,8 @@ class TestSplit:
         corpus = _corpus(10)
         train, test = split(corpus, 0.2, seed=42)
         assert len(train) == 8 and len(test) == 2
-        assert sorted(train.documents + test.documents) == sorted(corpus.documents)
-        assert not set(train.documents) & set(test.documents)
+        assert sorted(train + test) == sorted(corpus)
+        assert not set(train) & set(test)
 
     def test_deterministic(self):
         corpus = _corpus(30)
@@ -152,7 +144,7 @@ class TestSplit:
 
     def test_seed_changes_partition(self):
         corpus = _corpus(30)
-        tests = {split(corpus, 0.3, seed=s)[1].documents for s in range(5)}
+        tests = {tuple(split(corpus, 0.3, seed=s)[1]) for s in range(5)}
         assert len(tests) > 1
 
     def test_five_docs_rounds_to_one(self):
@@ -298,17 +290,17 @@ class TestEvaluate:
         corpus = load_corpus(data_dir / "sample_messages.tsv")
         train, test = split(corpus, 0.25, seed=3)
         config = PipelineConfig()
-        streams = [run_pipeline(text, config) for _, text in train.documents]
+        streams = [run_pipeline(text, config) for _, text in train]
         vocab = build_vocabulary(streams)
         vecs = [vectorize(s, vocab, RAW_COUNT) for s in streams]
-        labels = [label for label, _ in train.documents]
+        labels = [label for label, _ in train]
         model = fit_multinomial(vecs, labels, vocab, alpha=1.0)
         return model, config, vocab, test
 
     def test_end_to_end_report(self, trained):
         model, config, vocab, test = trained
         report = evaluate(
-            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test.documents
+            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test
         )
         assert report.n_test == len(test)
         assert 0.0 <= report.accuracy <= 1.0
@@ -318,19 +310,17 @@ class TestEvaluate:
     def test_deterministic(self, trained):
         model, config, vocab, test = trained
         a = evaluate(
-            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test.documents
+            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test
         )
         b = evaluate(
-            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test.documents
+            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test
         )
         assert a == b
 
     def test_out_of_vocabulary_document_falls_back_to_prior(self, trained):
         model, config, vocab, _ = trained
-        test = LabeledCorpus((("ham", "zzzz qqqq xxxx"),))
-        report = evaluate(
-            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test.documents
-        )
+        archive = ModelArchive("multinomial", model, config, vocab, RAW_COUNT)
+        report = evaluate(archive, [("ham", "zzzz qqqq xxxx")])
         prior_argmax = max(
             model.priors.probabilities, key=lambda c: (model.priors.probabilities[c], c)
         )
@@ -342,7 +332,7 @@ class TestEvaluate:
     def test_json_dict_shape(self, trained):
         model, config, vocab, test = trained
         report = evaluate(
-            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test.documents
+            ModelArchive("multinomial", model, config, vocab, RAW_COUNT), test
         )
         doc = report.to_json_dict()
         assert set(doc) >= {"accuracy", "per_label", "confusion", "n_test"}

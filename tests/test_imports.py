@@ -139,7 +139,7 @@ def test_vectorize_export_is_the_function_not_the_submodule():
 
 
 def test_evaluation_reexports_the_pipeline_readers():
-    for name in ("CorpusFormatError", "LabeledCorpus", "load_corpus", "load_row_corpus"):
+    for name in ("CorpusFormatError", "load_corpus", "load_row_corpus"):
         assert getattr(nbtext.evaluation, name) is getattr(nbtext.pipeline, name), name
     assert nbtext.evaluation.load_corpus is nbtext.load_corpus
     assert issubclass(nbtext.CorpusFormatError, ValueError)

@@ -26,7 +26,6 @@ from nbtext.models import (
     fit_multinomial,
     fit_priors,
     gaussian_log_density,
-    log_likelihood,
     posterior_scores,
 )
 from nbtext.vectorize import (
@@ -118,8 +117,8 @@ class TestCategorical:
 
     def test_toy_likelihoods(self, toy_shapes):
         model = fit_categorical(*toy_shapes, alpha=0.0)
-        lik_pos = math.exp(log_likelihood(model, ("blue", "square"), "+"))
-        lik_neg = math.exp(log_likelihood(model, ("blue", "square"), "-"))
+        lik_pos = math.exp(model.log_likelihood(("blue", "square"), "+"))
+        lik_neg = math.exp(model.log_likelihood(("blue", "square"), "-"))
         assert lik_pos == pytest.approx(15 / 49, abs=EXACT)
         assert lik_neg == pytest.approx(9 / 25, abs=EXACT)
         assert lik_pos == pytest.approx(0.31, abs=5e-3)
@@ -241,10 +240,10 @@ class TestBernoulli:
         model, vocab = self._fit(["w", "w", ""], ["j", "j", "j"], "w")
         present = SparseVector({0: 1}, 1)
         absent = SparseVector({}, 0)
-        assert log_likelihood(model, present, "j") == pytest.approx(
+        assert model.log_likelihood(present, "j") == pytest.approx(
             math.log(0.6), abs=EXACT
         )
-        assert log_likelihood(model, absent, "j") == pytest.approx(
+        assert model.log_likelihood(absent, "j") == pytest.approx(
             math.log(0.4), abs=EXACT
         )
 
@@ -268,7 +267,7 @@ class TestMultinomial:
         model = fit_multinomial([SparseVector({0: 2}, 2)], ["c"], vocab, alpha=0.0)
         assert model.conditional("c", 1) == 0.0
         vec = SparseVector({1: 1}, 1)
-        assert log_likelihood(model, vec, "c") == -math.inf
+        assert model.log_likelihood(vec, "c") == -math.inf
 
     def test_tiny_alpha_keeps_an_unseen_token_finite(self):
         # the unseen token's estimate is ~5e-306: tiny, but its log is finite
@@ -276,7 +275,7 @@ class TestMultinomial:
         model = fit_multinomial([SparseVector({0: 2}, 2)], ["c"], vocab, alpha=1e-305)
         p = model.conditional("c", 1)
         assert 0.0 < p < 1e-300
-        score = log_likelihood(model, SparseVector({1: 1}, 1), "c")
+        score = model.log_likelihood(SparseVector({1: 1}, 1), "c")
         assert score == math.log(p) and math.isfinite(score)
 
     def test_spam_likelihood_product(self):
@@ -287,13 +286,13 @@ class TestMultinomial:
         assert model.conditional("spam", 0) == pytest.approx(0.2, abs=EXACT)
         assert model.conditional("spam", 1) == pytest.approx(0.02, abs=EXACT)
         query = SparseVector({0: 1, 1: 1}, 2)
-        likelihood = math.exp(log_likelihood(model, query, "spam"))
+        likelihood = math.exp(model.log_likelihood(query, "spam"))
         assert likelihood == pytest.approx(0.004, abs=EXACT)
 
     def test_empty_input_scores_zero(self):
         vocab = build_vocabulary([["w"]])
         model = fit_multinomial([SparseVector({0: 1}, 1)], ["c"], vocab, alpha=1.0)
-        assert log_likelihood(model, SparseVector({}, 0), "c") == 0.0
+        assert model.log_likelihood(SparseVector({}, 0), "c") == 0.0
 
     def test_negative_alpha_rejected(self):
         vocab = build_vocabulary([["w"]])
@@ -317,7 +316,7 @@ class TestGaussian:
     def test_zero_variance_floored(self):
         model = fit_gaussian([[3.0], [3.0]], ["c", "c"])
         assert model.stds["c"][0] == 1e-9
-        assert math.isfinite(log_likelihood(model, [3.0], "c"))
+        assert math.isfinite(model.log_likelihood([3.0], "c"))
 
     def test_density_peak(self):
         peak = math.exp(gaussian_log_density(5.0, 5.0, 1.0))
@@ -356,14 +355,14 @@ class TestInputValidation:
         vocab = build_vocabulary([["w"]])
         multi = fit_multinomial([SparseVector({0: 1}, 1)], ["c"], vocab, alpha=1.0)
         with pytest.raises(TypeError):
-            log_likelihood(cat, SparseVector({0: 1}, 1), "+")
+            cat.log_likelihood(SparseVector({0: 1}, 1), "+")
         with pytest.raises(TypeError):
-            log_likelihood(multi, ("blue", "square"), "c")
+            multi.log_likelihood(("blue", "square"), "c")
 
     def test_wrong_arity_query(self, toy_shapes):
         model = fit_categorical(*toy_shapes, alpha=0.0)
         with pytest.raises(ValueError):
-            log_likelihood(model, ("blue",), "+")
+            model.log_likelihood(("blue",), "+")
 
     @pytest.mark.parametrize("row,error,message", [
         (SparseVector({0: 1}, 1), TypeError, "sequence of real features"),
@@ -372,11 +371,7 @@ class TestInputValidation:
     def test_gaussian_query_shape(self, row, error, message):
         model = fit_gaussian([[4.0], [6.0]], ["c", "c"])
         with pytest.raises(error, match=message):
-            log_likelihood(model, row, "c")
-
-    def test_unknown_model_type_rejected(self):
-        with pytest.raises(TypeError, match="unknown model type: object"):
-            log_likelihood(object(), [], "a")
+            model.log_likelihood(row, "c")
 
     @pytest.mark.parametrize("fit", [fit_bernoulli, fit_multinomial])
     @pytest.mark.parametrize("labels", [[], ["a"], ["a", "b", "a"]],
@@ -701,7 +696,7 @@ class TestBernoulliScoring:
         model = fit_bernoulli(vecs, labels, vocab)
         vec = vectorize(query, vocab, BINARY)
         for label in model.priors.labels:
-            assert log_likelihood(model, vec, label) == pytest.approx(
+            assert model.log_likelihood(vec, label) == pytest.approx(
                 _bernoulli_oracle(model, vec, label), abs=1e-9
             )
 
@@ -711,7 +706,7 @@ class TestBernoulliScoring:
             ids = rng.sample(range(model.vocab_size), rng.randint(0, 40))
             vec = SparseVector(dict.fromkeys(ids, 1), len(ids))
             for label in model.priors.labels:
-                assert log_likelihood(model, vec, label) == pytest.approx(
+                assert model.log_likelihood(vec, label) == pytest.approx(
                     _bernoulli_oracle(model, vec, label), abs=1e-9
                 )
 
@@ -735,9 +730,7 @@ class TestBernoulliScoring:
         inside = SparseVector({0: 1, 7: 1, 49: 1}, 3)
         outside = SparseVector({-1: 1, 0: 1, 7: 1, 49: 1, 50: 1, 10**6: 1, -50: 1}, 7)
         for label in model.priors.labels:
-            assert log_likelihood(model, outside, label) == log_likelihood(
-                model, inside, label
-            )
+            assert model.log_likelihood(outside, label) == model.log_likelihood(inside, label)
 
     @pytest.mark.parametrize("doc_counts,class_docs", [
         ({"j": [-5, 0]}, {"j": 3}),
@@ -778,7 +771,7 @@ class TestMultinomialScoring:
             expected = multinomial_log_likelihood_oracle(
                 rows, labels, alpha, dense(vec), label
             )
-            assert log_likelihood(model, vec, label) == pytest.approx(expected, abs=1e-9)
+            assert model.log_likelihood(vec, label) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_ids_outside_the_vocabulary_score_as_unseen(self, alpha):
@@ -786,7 +779,7 @@ class TestMultinomialScoring:
         model = fit_multinomial([SparseVector({0: 3, 1: 1}, 4)], ["j"], vocab, alpha)
         den = 4 + 3 * alpha
         for i in (2, 3, 10**6, -1):  # 2 is in the vocabulary but never seen
-            got = log_likelihood(model, SparseVector({0: 1, i: 2.5}, 4), "j")
+            got = model.log_likelihood(SparseVector({0: 1, i: 2.5}, 4), "j")
             if alpha == 0:
                 assert got == -math.inf
             else:
@@ -797,8 +790,8 @@ class TestMultinomialScoring:
         priors = ClassPriors({"j": 1.0}, {"j": 2}, 2)
         model = MultinomialModel(priors, {"j": {0: 2.0, 1: 0.0}}, {"j": 2.0}, 2, 0.0)
         assert model.conditional("j", 1) == 0.0
-        assert log_likelihood(model, SparseVector({1: 0.5}, 1), "j") == -math.inf
-        assert log_likelihood(model, SparseVector({0: 3}, 3), "j") == 0.0
+        assert model.log_likelihood(SparseVector({1: 0.5}, 1), "j") == -math.inf
+        assert model.log_likelihood(SparseVector({0: 3}, 3), "j") == 0.0
 
     def test_class_without_weight_or_smoothing_scores_minus_inf(self):
         # total + alpha * V is 0, so every estimate is 0/0, taken as zero
@@ -806,8 +799,8 @@ class TestMultinomialScoring:
         vecs = [SparseVector({0: 1, 1: 1}, 2), SparseVector({}, 0)]
         model = fit_multinomial(vecs, ["ham", "spam"], vocab, alpha=0.0)
         assert model.conditional("spam", 0) == 0.0
-        assert log_likelihood(model, SparseVector({0: 1}, 1), "spam") == -math.inf
-        assert log_likelihood(model, SparseVector({}, 0), "spam") == 0.0
+        assert model.log_likelihood(SparseVector({0: 1}, 1), "spam") == -math.inf
+        assert model.log_likelihood(SparseVector({}, 0), "spam") == 0.0
         report = posterior_scores(model, SparseVector({0: 1}, 1))
         assert report.predicted == "ham" and report.posteriors["ham"] == 1.0
 
@@ -816,4 +809,4 @@ class TestMultinomialScoring:
         vocab = build_vocabulary([["a", "b", "c"]])
         model = fit_multinomial([SparseVector({0: 1, 1: 1, 2: 1}, 3)], ["c"], vocab, 1.0)
         vec = SparseVector({0: 1e308, 1: 1e308}, 2)
-        assert log_likelihood(model, vec, "c") == -math.inf
+        assert model.log_likelihood(vec, "c") == -math.inf

@@ -26,7 +26,7 @@ from nbtext.models import (
     MultinomialModel,
     PosteriorReport,
 )
-from nbtext.pipeline import LabeledCorpus, PipelineConfig, StopList
+from nbtext.pipeline import PipelineConfig, StopList
 from nbtext.vectorize import SparseVector, Vocabulary
 
 UNCOUNTED = ClassPriors({"a": 1.0})
@@ -49,7 +49,6 @@ SAMPLES = {
         "words": (frozenset({"the"}), frozenset({"a", "an"})),
         "origin": ("dictionary", "frequency(2)"),
     },
-    LabeledCorpus: {"documents": ((("ham", "hi mum"),), (("spam", "hi mum"),))},
     Vocabulary: {
         "tokens": (["a", "b"], ["b", "a"]),
         "document_frequency": ([1, 2], [2, 1]),
@@ -155,7 +154,7 @@ def test_hash_is_the_hash_of_the_field_tuple(cls):
 
 def test_a_hashable_record_that_holds_a_dict_does_not_hash():
     with pytest.raises(TypeError):
-        hash(LabeledCorpus((("ham", {"cell": 1}),)))
+        hash(LabelMetrics(0.5, 0.5, 0.5, {"cell": 1}))
 
 
 @RECORDS
@@ -205,7 +204,8 @@ def test_trailing_fields_left_out_take_their_defaults():
     (lambda: ClassPriors(counts={"a": 1}, total=1), "missing argument 'probabilities'"),
     (lambda: StopList(colour="red"), "unexpected keyword argument 'colour'"),
     (lambda: StopList(frozenset(), words=frozenset()), "multiple values for argument 'words'"),
-    (lambda: LabeledCorpus((("a", "b"),), ()), r"got 2 arguments for the fields \('documents',\)"),
+    (lambda: StopList(frozenset(), "dictionary", ()),
+     r"got 3 arguments for the fields \('words', 'origin'\)"),
 ], ids=["missing", "missing-first", "unknown", "repeated", "too-many"])
 def test_a_field_missing_unknown_repeated_or_extra_raises_type_error(build, message):
     with pytest.raises(TypeError, match=message):
@@ -217,7 +217,7 @@ def test_a_field_missing_unknown_repeated_or_extra_raises_type_error(build, mess
 # these; keys are often a sample's labels, so a value can pass the label rules
 INPUT_RECORDS = [ClassPriors, CategoricalModel, BernoulliModel, MultinomialModel,
                  GaussianModel, Vocabulary, PipelineConfig, StopList, SparseVector,
-                 LabeledCorpus, ModelArchive]
+                 ModelArchive]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
